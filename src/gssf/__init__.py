@@ -25,11 +25,13 @@ from .errors import (
     DependentInput,
     DimensionMismatch,
     GssfError,
+    NonFinite,
     NotInL,
     NotMinimal,
     NotOrthonormal,
     NotTangent,
     NotUnitVector,
+    SchemaViolation,
     SearchDidNotConverge,
     VariantPreconditionViolated,
     XiNotTangent,

@@ -9,15 +9,15 @@ errors.  The equality tolerance can be overridden per invocation with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
-import jsonschema
-
 from .ambient import canonical_model, validate_f_structure
 from .config import DEFAULT
-from .errors import GssfError
+from .errors import BadConfig, GssfError
 from .generators import GeneratorConfig, random_instance
 from .inequalities import delta_bound, ricci_bound
 from .jsonutil import dumps
@@ -28,12 +28,21 @@ _CONSTRAINT_CHOICES = ("none", "minimal", "c_compatible", "minimal_and_c_compati
 
 
 def _resolve_tol(args) -> float:
+    """The equality tolerance from ``--tol``, else ``GSSF_TOL``, else the
+    default; anything but a finite number >= 0 is a ``BadConfig``."""
     if getattr(args, "tol", None) is not None:
-        return float(args.tol)
-    env = os.environ.get("GSSF_TOL")
-    if env is not None:
-        return float(env)
-    return DEFAULT.equality
+        source, text = "--tol", args.tol
+    else:
+        source, text = "GSSF_TOL", os.environ.get("GSSF_TOL")
+        if text is None:
+            return DEFAULT.equality
+    try:
+        tol = float(text)
+    except ValueError:
+        raise BadConfig(f"{source} must be a number, got {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise BadConfig(f"{source} must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _emit(text: str, out_path: str | None):
@@ -207,7 +216,8 @@ def _cmd_validate(args) -> int:
     return 0 if not violations else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # main() runs many times in one process under tests and embedding
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gssf",
         description="Verify curvature bounds for submanifold points "
@@ -218,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="run the checks of a scenario file")
     rep.add_argument("scenario")
     rep.add_argument("--out", default=None, help="report path (default: stdout)")
-    rep.add_argument("--tol", type=float, default=None)
+    rep.add_argument("--tol", default=None)
     rep.set_defaults(func=_cmd_report)
 
     fuzz = sub.add_parser("fuzz", help="random instances against the bound oracles")
@@ -227,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--n-range", default="1..5")
     fuzz.add_argument("--constraint", choices=_CONSTRAINT_CHOICES, default="none")
     fuzz.add_argument("--out", default=None)
-    fuzz.add_argument("--tol", type=float, default=None)
+    fuzz.add_argument("--tol", default=None)
     fuzz.set_defaults(func=_cmd_fuzz)
 
     con = sub.add_parser("construct", help="emit an equality-case scenario")
@@ -246,14 +256,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GssfError as exc:
         return _input_error(type(exc).__name__, str(exc))
-    except jsonschema.ValidationError as exc:
-        return _input_error("SchemaViolation", exc.message)
     except json.JSONDecodeError as exc:
         return _input_error("InvalidJson", str(exc))
     except OSError as exc:

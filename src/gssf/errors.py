@@ -53,6 +53,14 @@ class BadConfig(GssfError):
     """A generator or scenario configuration is invalid."""
 
 
+class SchemaViolation(GssfError):
+    """A scenario document does not match the scenario schema."""
+
+
+class NonFinite(GssfError):
+    """An input number or a computed value is infinite or not a number."""
+
+
 class BadDimension(GssfError):
     """The ambient model is too small for the requested construction."""
 

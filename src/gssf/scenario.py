@@ -10,14 +10,15 @@ conventions of the underlying geometry; the Python API is 0-based.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import math
 
-import jsonschema
 import numpy as np
 
 from .ambient import StructureFunctions, canonical_model, preset_structure_functions
 from .config import DEFAULT
-from .errors import BadConfig
+from .errors import BadConfig, NonFinite, SchemaViolation
 from .generators import anti_invariant_frame, random_sff, slant_frame
 from .inequalities import delta_bound, global_delta_bounds, ricci_bound, ricci_equality_diagnosis
 from .submanifold import (
@@ -111,7 +112,7 @@ SCENARIO_SCHEMA = {
                     "enum": ["none", "minimal", "c_compatible",
                              "minimal_and_c_compatible"]
                 },
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "scale": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
@@ -123,15 +124,44 @@ SCENARIO_SCHEMA = {
 }
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise NonFinite(f"scenario number {text} is not finite")
+    return value
+
+
 def load_scenario(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = json.load(handle, parse_float=_finite_number,
+                         parse_constant=_finite_number)
     validate_scenario(data)
     return data
 
 
+@functools.cache
+def _schema_validator():
+    # jsonschema loads here, not at import, so that commands which never
+    # read a scenario (fuzz, the library) do not pay for it.  The schema
+    # is a constant that a test checks against the meta-schema once.
+    # "integer" is narrowed to integer literals: the draft also admits
+    # 2.0 or 1e308, which are no index, size or seed.
+    from jsonschema import Draft202012Validator, validators
+
+    integers = Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+    strict = validators.extend(Draft202012Validator, type_checker=integers)
+    return strict(SCENARIO_SCHEMA)
+
+
 def validate_scenario(data: dict):
-    jsonschema.validate(data, SCENARIO_SCHEMA)
+    """Check a parsed scenario against the schema and the rules the
+    schema cannot express; raises ``SchemaViolation`` or ``BadConfig``."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_schema_validator().iter_errors(data))
+    if error is not None:
+        raise SchemaViolation(error.message) from error
     structure = data["structure"]
     if ("preset" in structure) == ("values" in structure):
         raise BadConfig("structure needs exactly one of 'preset' or 'values'")
@@ -249,6 +279,28 @@ def _slant_diag(slant) -> dict:
     return {"slant_kind": slant.kind, "slant_angle": slant.angle}
 
 
+def _directions(check: dict, n: int) -> list[int]:
+    """The 1-based L-frame directions a Ricci check's ``u`` selects."""
+    selector = check.get("u", "all")
+    if selector == "all":
+        return list(range(1, n + 1))
+    if not 1 <= selector <= n:
+        raise BadConfig(f"u index {selector} outside 1..{n}")
+    return [selector]
+
+
+def _finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    return True
+
+
 def run_checks(point: SubmanifoldPoint, checks: list[dict],
                tol_eq: float) -> tuple[list[dict], dict]:
     tol = dataclasses.replace(DEFAULT, equality=tol_eq)
@@ -291,11 +343,7 @@ def run_checks(point: SubmanifoldPoint, checks: list[dict],
             produced.append(_record(name, diagnostics=diag))
         elif name == "ricci_bound":
             variant = check.get("variant", "general")
-            selector = check.get("u", "all")
-            indices = range(1, n + 1) if selector == "all" else [selector]
-            for u_index in indices:
-                if not 1 <= u_index <= n:
-                    raise BadConfig(f"u index {u_index} outside 1..{n}")
+            for u_index in _directions(check, n):
                 direction = point.tangent.matrix[u_index - 1]
                 report = ricci_bound(point, direction, variant, tol)
                 produced.append(bound_record(
@@ -303,9 +351,7 @@ def run_checks(point: SubmanifoldPoint, checks: list[dict],
                     {"variant": variant, "u": u_index},
                 ))
         elif name == "ricci_equality":
-            selector = check.get("u", "all")
-            indices = range(1, n + 1) if selector == "all" else [selector]
-            for u_index in indices:
+            for u_index in _directions(check, n):
                 direction = point.tangent.matrix[u_index - 1]
                 diag = ricci_equality_diagnosis(point, direction, tol)
                 produced.append(_record(
@@ -357,6 +403,8 @@ def run_checks(point: SubmanifoldPoint, checks: list[dict],
             raise BadConfig(f"unknown check {name!r}")
 
         for rec in produced:
+            if not _finite(rec):
+                raise NonFinite(f"check {rec['name']} produced a non-finite value")
             _apply_expect(rec, expect, tol_eq)
         records.extend(produced)
 

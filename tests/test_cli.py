@@ -1,11 +1,20 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
+from gssf import cli
 from gssf.jsonutil import dumps
+from gssf.scenario import SCENARIO_SCHEMA
 
 SPOT_SCENARIO = {
     "ambient": {"m": 2},
@@ -211,3 +220,183 @@ def test_specialized_variants_through_scenarios(tmp_path):
     proc = run_cli("report", path)
     assert proc.returncode == 2
     assert json.loads(proc.stderr.strip())["error"] == "VariantPreconditionViolated"
+
+
+def run_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+_DROP = object()
+
+
+def _locate(doc, path):
+    """The container that holds the last key of ``path``, and that key."""
+    *parents, key = path
+    for part in parents:
+        doc = doc[part]
+    return doc, key
+
+
+def _with(path, value):
+    """A copy of SPOT_SCENARIO with the value at ``path`` set, or removed
+    for ``_DROP``."""
+    scenario = copy.deepcopy(SPOT_SCENARIO)
+    target, key = _locate(scenario, path)
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    return scenario
+
+
+def assert_input_error(proc, name):
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == name
+
+
+@pytest.mark.parametrize("args, env", [
+    (["report", "{path}"], {"GSSF_TOL": "abc"}),
+    (["report", "{path}", "--tol", "nan"], None),
+    (["report", "{path}", "--tol", "inf"], None),
+    (["fuzz", "--count", "3", "--tol", "-1"], None),
+])
+def test_bad_tolerance_exits_2(tmp_path, args, env):
+    path = write_scenario(tmp_path, SPOT_SCENARIO)
+    proc = run_cli(*[arg.format(path=path) for arg in args], env=env)
+    assert_input_error(proc, "BadConfig")
+
+
+def test_ricci_equality_u_out_of_range_exits_2(tmp_path):
+    scenario = _with(["checks"], [{"name": "ricci_equality", "u": 7}])
+    proc = run_cli("report", write_scenario(tmp_path, scenario))
+    assert_input_error(proc, "BadConfig")
+
+
+def test_overflowing_result_exits_2(tmp_path):
+    scenario = _with(["structure"], {"preset": "s_space_form", "c": 1e308})
+    proc = run_cli("report", write_scenario(tmp_path, scenario))
+    assert_input_error(proc, "NonFinite")
+    assert "scalar_identity" in json.loads(proc.stderr)["detail"]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400"])
+def test_non_finite_scenario_number_exits_2(tmp_path, literal):
+    path = write_scenario(tmp_path, SPOT_SCENARIO)
+    text = open(path).read().replace('"c": 2.0', f'"c": {literal}')
+    open(path, "w").write(text)
+    assert_input_error(run_cli("report", path), "NonFinite")
+
+
+def test_scenario_schema_is_valid():
+    Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+
+
+@pytest.mark.parametrize("scenario", [
+    _with(["surprise"], True),                              # unknown field
+    _with(["ambient", "m"], "two"),                         # wrong type
+    _with(["sigma", "coeffs"], [[1, 1, 1]]),                # coeffs entry too short
+    _with(["frame", "mode"], "sideways"),                   # bad enum
+    _with(["checks"], _DROP),                               # missing checks
+    _with(["checks"], [{"name": "ricci_bound", "u": 0}]),   # bad u
+    _with(["checks"], [{"name": "ricci_bound", "u": "some"}]),
+    _with(["sigma"], {"constraint": "none", "seed": -1}),   # negative seed
+])
+def test_schema_violation_detail_matches_jsonschema(tmp_path, scenario):
+    with pytest.raises(jsonschema.ValidationError) as raised:
+        jsonschema.validate(scenario, SCENARIO_SCHEMA)
+    code, out, err = run_main("report", write_scenario(tmp_path, scenario))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "SchemaViolation",
+                               "detail": " ".join(raised.value.message.split())}
+
+
+@pytest.mark.parametrize("path, value", [
+    (["ambient", "m"], 2.0),
+    (["frame", "n"], 2.0),
+    (["checks", 1, "u"], 1.0),
+    (["sigma", "coeffs"], [[1.0, 1, 1, 0.5]]),
+])
+def test_float_in_integer_field_is_schema_violation(tmp_path, path, value):
+    code, _, err = run_main("report", write_scenario(tmp_path, _with(path, value)))
+    assert (code, json.loads(err)["error"]) == (2, "SchemaViolation")
+
+
+def test_fuzz_does_not_load_jsonschema():
+    code = ("import sys; from gssf import cli; "
+            "cli.main(['fuzz', '--count', '2']); "
+            "sys.exit('jsonschema' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+_GENERATED_SCENARIO = {
+    "ambient": {"m": 3},
+    "structure": {"values": [2.0, 0.0, 0.0, 1.0, -1.0, -1.0, 1.0]},
+    "frame": {"mode": "slant", "n": 2, "theta": 0.6},
+    "sigma": {"constraint": "minimal", "seed": 5, "scale": 0.5},
+    "checks": [
+        {"name": "ricci_bound", "variant": "s_form", "u": "all"},
+        {"name": "delta_bound", "plane": "all", "slant_mode": True},
+        {"name": "ricci_equality", "u": 2},
+    ],
+}
+_EXPLICIT_SCENARIO = {
+    "ambient": {"m": 2},
+    "structure": {"preset": "c_space_form", "c": 1.0},
+    "frame": {"mode": "explicit", "vectors": [
+        [1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]},
+    "sigma": {"coeffs": [[1, 1, 1, 0.5], [2, 1, 2, -1.0]], "c_compatible": True},
+    "checks": [{"name": "ricci_bound", "variant": "c_form", "u": 1},
+               {"name": "delta_bound", "plane": [1, 2], "expect": {"equality": False}}],
+}
+_KEYS = ("m", "c", "n", "u", "plane", "theta", "vectors", "values", "coeffs",
+         "constraint", "seed", "scale", "c_compatible", "slant_mode", "expect",
+         "surprise")
+_VALUES = (None, True, "all", "x", -1, 0, 1, 2, 3, 7, 0.5, -2.5, 1e308, -1e308,
+           float("nan"), float("inf"), [], [1, 2], [[1, 1, 1, 1.0]], {},
+           {"name": "classify"})
+
+
+def _paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    scenario = copy.deepcopy(draw(st.sampled_from(
+        [SPOT_SCENARIO, _GENERATED_SCENARIO, _EXPLICIT_SCENARIO])))
+    for _ in range(draw(st.integers(1, 3))):
+        target, key = _locate(scenario, draw(st.sampled_from(list(_paths(scenario)))))
+        action = draw(st.sampled_from(("drop", "retype", "add")))
+        if action == "drop":
+            del target[key]
+        elif action == "retype":
+            target[key] = copy.deepcopy(draw(st.sampled_from(_VALUES)))
+        elif isinstance(target, dict):
+            target[draw(st.sampled_from(_KEYS))] = copy.deepcopy(draw(st.sampled_from(_VALUES)))
+    return scenario
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scenario=mutated_scenarios())
+def test_report_exit_contract_on_mutated_scenarios(tmp_path_factory, scenario):
+    path = tmp_path_factory.mktemp("mutant") / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, _, err = run_main("report", str(path))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert len(err.splitlines()) == 1 and "error" in json.loads(err)
