@@ -33,6 +33,7 @@ from .errors import (
     NotUnitVector,
     SchemaViolation,
     SearchDidNotConverge,
+    UsageError,
     VariantPreconditionViolated,
     XiNotTangent,
 )
@@ -48,6 +49,7 @@ from .inequalities import (
     BoundReport,
     CFormEqualityReport,
     ChenLemmaReport,
+    FrameSweep,
     GlobalDeltaReport,
     PlaneSearchOptions,
     RicciEqualityDiagnosis,
@@ -58,6 +60,7 @@ from .inequalities import (
     delta_bound,
     delta_equality_shape_check,
     equality_instance,
+    frame_sweep,
     global_delta_bounds,
     minimize_sectional_plane,
     plane_f_squared,

@@ -53,6 +53,10 @@ class BadConfig(GssfError):
     """A generator or scenario configuration is invalid."""
 
 
+class UsageError(GssfError):
+    """The command line does not match the command's usage."""
+
+
 class SchemaViolation(GssfError):
     """A scenario document does not match the scenario schema."""
 

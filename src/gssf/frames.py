@@ -8,7 +8,7 @@ read-only arrays, and no function keeps state between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -39,12 +39,14 @@ class Basis:
     """Ordered orthonormal set, stored as rows of ``matrix``.
 
     Construction validates pairwise inner products against the
-    orthonormality tolerance; instances are immutable afterwards.
+    orthonormality tolerance of ``tol``; instances are immutable
+    afterwards.
     """
 
     matrix: np.ndarray
+    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self):
+    def __post_init__(self, tol: Tolerances):
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2:
             raise BadShape("a basis is a 2-D array with one vector per row")
@@ -52,7 +54,7 @@ class Basis:
             raise BadShape("basis entries must be finite")
         object.__setattr__(self, "matrix", m)
         defect = self.orthonormality_defect()
-        if defect > DEFAULT.orthonormality:
+        if defect > tol.orthonormality:
             raise NotOrthonormal(
                 f"pairwise inner products deviate from identity by {defect:.3e}"
             )
@@ -125,7 +127,7 @@ def gram_schmidt(raw, keep_tail_fixed: int = 0, tol: Tolerances = DEFAULT) -> Ba
                 f"rank deficiency detected (pivot {norm / scale:.3e})"
             )
         out_head.append(w / norm)
-    return Basis(np.vstack(out_head + done) if out_head or done else np.zeros((0, dim)))
+    return Basis(np.vstack(out_head + done) if out_head or done else np.zeros((0, dim)), tol)
 
 
 def project(x, onto: Basis) -> Vec:

@@ -11,6 +11,7 @@ statement about genuine immersions, is not a formal-data theorem.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -220,6 +221,108 @@ def ricci_bound(point: SubmanifoldPoint, u, variant: str = "general",
     slack = rhs - ric
     return BoundReport(lhs=ric, rhs=rhs, slack=slack,
                        equality=slack <= tol.equality, defect_terms=defects)
+
+
+@dataclass(frozen=True)
+class FrameSweep:
+    """Every general Ricci and plane-bound slack over one point's frame.
+
+    ``slacks`` lists the Ricci bound at L-frame directions u = 1..n,
+    then the plane bound at frame pairs i < j in lexicographic order:
+    the order in which ``gssf fuzz`` reports its checks.
+    ``ricci_defects`` holds the sum of the general Ricci defect terms
+    per L-frame direction, computed from the form coefficients alone.
+    """
+
+    n: int
+    slacks: np.ndarray
+    ricci_defects: np.ndarray
+
+    @property
+    def ricci_slacks(self) -> np.ndarray:
+        return self.slacks[:self.n]
+
+    @property
+    def delta_slacks(self) -> np.ndarray:
+        return self.slacks[self.n:]
+
+    def label(self, k: int) -> str:
+        """The check name of ``slacks[k]``, 1-based as fuzz reports it."""
+        if k < self.n:
+            return f"ricci_bound[general,u={k + 1}]"
+        _, pair_i, pair_j = _sweep_layout(self.n)
+        return f"delta_bound[{pair_i[k - self.n] + 1},{pair_j[k - self.n] + 1}]"
+
+
+@functools.cache
+def _sweep_layout(n: int):
+    """Index arrays of the frame sweep at dimension n.
+
+    Row i of ``order`` is the tangent frame with e_i and e_0 swapped,
+    the frame ``ricci_bound`` adapts to U = e_i.  The Ricci sums add in
+    that order, so at U = e_0 the two paths agree to the bit.
+    """
+    order = np.tile(np.arange(n + 2), (n, 1))
+    order[:, 0] = np.arange(n)
+    order[np.arange(1, n), np.arange(1, n)] = 0
+    layout = (order, *np.triu_indices(n, 1))
+    for array in layout:  # shared by every caller
+        array.setflags(write=False)
+    return layout
+
+
+def frame_sweep(point: SubmanifoldPoint) -> FrameSweep:
+    """The general Ricci bound at every L-frame direction and the plane
+    bound at every L-frame pair, in closed form from cached arrays.
+
+    Ric(e_i) is row i of ``sectional_matrix`` summed and |T e_i|^2 the
+    squared column i of ``phi``; the plane bound at (e_i, e_j) reads
+    K(e_i ^ e_j) and g(e_i, f e_j) off the same arrays.  The defect sum
+    of direction i is sum_r 1/4 (2 sigma_r(e_i, e_i) - tr sigma_r)^2 +
+    sum_{j != i} sigma_r(e_i, e_j)^2, read off sigma with no frame
+    change.  :func:`ricci_bound` (variant ``general``) and
+    :func:`delta_bound` on frame vectors are the reference the sweep is
+    tested against.
+
+    Unlike those two, the sweep runs no unit, tangency or L-membership
+    check: they guard vectors a caller supplies, while the sweep only
+    reads rows of a frame that ``attach_point`` has already validated,
+    with an orthonormality tolerance (1e-10 by default) tighter than the
+    tangency one (1e-9).
+    """
+    n = point.n
+    f = point.functions
+    k = point.sectional_matrix
+    phi = point.phi
+    h_sq = point.h_norm_sq
+    order, pair_i, pair_j = _sweep_layout(n)
+    own = order[:, :1]  # i, as a column
+
+    ric = k[own, order[:, 1:]].sum(axis=1)
+    tu_sq = (phi[order, own] ** 2).sum(axis=1)
+    ricci_rhs = ((n + 2) ** 2 / 4.0 * h_sq + (n + 1) * f.f1
+                 + 3.0 * tu_sq * f.f2 - (f.f11 + f.f22))
+
+    f_sq = phi[pair_i, pair_j] ** 2
+    delta_lhs = point.tau - k[pair_i, pair_j]
+    delta_rhs = (
+        n * (n + 2) ** 2 / (2.0 * (n + 1)) * h_sq
+        + n * (n + 3) / 2.0 * f.f1
+        + f.f3
+        - (n + 1) * (f.f11 + f.f22)
+        + 3.0 * f.f2 * (point.t_norm_sq / 2.0 - f_sq)
+    )
+
+    sigma = point.sff.coeffs
+    columns = sigma[:, :, :n]  # sigma_r(e_j, e_i) for e_i in L
+    diag = np.einsum("rii->ri", columns[:, :n])
+    trace_gaps = 0.25 * (2.0 * diag - np.einsum("rii->r", sigma)[:, None]) ** 2
+    mixed = np.einsum("rji,rji->ri", columns, columns) - diag ** 2
+    return FrameSweep(
+        n=n,
+        slacks=np.concatenate([ricci_rhs - ric, delta_rhs - delta_lhs]),
+        ricci_defects=(trace_gaps + mixed).sum(axis=0),
+    )
 
 
 def ricci_equality_diagnosis(point: SubmanifoldPoint, u,

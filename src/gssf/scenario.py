@@ -131,9 +131,20 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _float_sized_int(text: str) -> int:
+    # Where the schema takes a number, an integer literal stands for a
+    # float: one beyond the float range is the integer twin of 1e400.
+    if not math.isfinite(float(text)):
+        raise NonFinite(
+            f"scenario integer of {len(text.lstrip('-'))} digits does not fit a float"
+        )
+    return int(text)
+
+
 def load_scenario(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle, parse_float=_finite_number,
+                         parse_int=_float_sized_int,
                          parse_constant=_finite_number)
     validate_scenario(data)
     return data

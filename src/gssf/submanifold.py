@@ -263,10 +263,10 @@ def attach_point(ambient: AmbientModel, functions: StructureFunctions,
 
     tangent_rows = np.vstack(l_rows + [ambient.xi[0], ambient.xi[1]]) \
         if l_rows else np.vstack([ambient.xi[0], ambient.xi[1]])
-    tangent = Basis(tangent_rows)
+    tangent = Basis(tangent_rows, tol)
     n = len(tangent) - 2
     normal_rows = complete_basis(tangent.matrix, ambient.dim - len(tangent))
-    normal = Basis(normal_rows)
+    normal = Basis(normal_rows, tol)
 
     expected = (len(normal), n + 2, n + 2)
     if sff.coeffs.shape != expected:

@@ -1,9 +1,9 @@
 """Session fixtures: the shared fuzz corpus and its per-instance statistics.
 
 The corpus drives several acceptance criteria, so it is generated once
-and the expensive per-instance sweeps (scalar identity, Ricci bound over
-every L-frame direction, plane bound over every frame pair) are done in
-a single pass.
+and the per-instance checks (scalar identity, then one closed-form
+frame sweep for the Ricci bound over every L-frame direction and the
+plane bound over every frame pair) are done in a single pass.
 """
 
 from __future__ import annotations
@@ -48,26 +48,20 @@ def corpus() -> CorpusStats:
     for index in range(CORPUS_SIZE):
         point = G.random_instance(corpus_config(index))
         points.append(point)
-        n = point.n
 
         identity = G.scalar_identity_check(point)
         identity_rel[index] = identity.abs_diff / max(
             1.0, abs(identity.lhs), abs(identity.rhs)
         )
 
-        for i in range(n):
-            report = G.ricci_bound(point, point.tangent.matrix[i], "general")
-            ricci_min[index] = min(ricci_min[index], report.slack)
-            defect_gap[index] = max(
-                defect_gap[index], abs(report.slack - report.defect_sum())
-            )
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                report = G.delta_bound(
-                    point, point.tangent.matrix[i], point.tangent.matrix[j]
-                )
-                delta_min[index] = min(delta_min[index], report.slack)
+        sweep = G.frame_sweep(point)
+        ricci = sweep.ricci_slacks
+        ricci_min[index] = ricci.min()
+        # Gauss route (the slack, through the sectional matrix) against
+        # the sigma-only sum of squares
+        defect_gap[index] = np.abs(ricci - sweep.ricci_defects).max()
+        if point.n > 1:
+            delta_min[index] = sweep.delta_slacks.min()
 
     return CorpusStats(
         points=points,

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -117,6 +118,22 @@ def test_fuzz_deterministic_and_green(tmp_path):
     assert report["summary"]["worst_slack"] >= -1e-9
 
 
+# sha256 of `gssf fuzz --seed 7 --count 120 --n-range 1..6` on stdout
+FUZZ_GOLDEN = {
+    "none": "ef1dab2dc0118d62fcd3f667c008be7065bf4399502d50fd14976355a8ec1be5",
+    "minimal": "6822527bbd332b04457a32eb348751eb88a4570f1e04a9c31f8637d6b8a8a76e",
+    "c_compatible": "36b8755be1ad5c1beb0c574c15c07fcfb5a9c5161899173e931d5ba1834409a4",
+}
+
+
+@pytest.mark.parametrize("constraint", sorted(FUZZ_GOLDEN))
+def test_fuzz_output_bytes_are_pinned(constraint):
+    code, out, err = run_main("fuzz", "--seed", "7", "--count", "120",
+                              "--n-range", "1..6", "--constraint", constraint)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FUZZ_GOLDEN[constraint]
+
+
 def test_fuzz_count_zero_exits_2():
     proc = run_cli("fuzz", "--seed", "7", "--count", "0")
     assert proc.returncode == 2
@@ -156,6 +173,20 @@ def test_construct_pairs_overflow_exits_2(tmp_path):
                    "--pairs", "1,1;2,2;3,3;4,4;5,5",
                    "--n", "3", "--m", "4", "--out", str(tmp_path / "x.json"))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("form, pairs", [
+    ("a,b,c", ""),          # not numbers
+    ("1,2", ""),            # too few entries
+    ("1,nan,0", ""),        # not finite
+    ("1,0,0", "1,x"),       # a pair entry that is not a number
+    ("1,0,0", "1,1;inf,2"),
+])
+def test_construct_bad_numbers_exit_2(tmp_path, form, pairs):
+    proc = run_cli("construct", "--form", form, "--pairs", pairs,
+                   "--n", "3", "--m", "4", "--out", str(tmp_path / "x.json"))
+    assert_input_error(proc, "BadConfig")
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_validate(tmp_path):
@@ -284,7 +315,10 @@ def test_overflowing_result_exits_2(tmp_path):
     assert "scalar_identity" in json.loads(proc.stderr)["detail"]
 
 
-@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400"])
+@pytest.mark.parametrize("literal", [
+    "NaN", "-Infinity", "1e400",
+    pytest.param("1" + "0" * 400, id="integer-1e400"),
+])
 def test_non_finite_scenario_number_exits_2(tmp_path, literal):
     path = write_scenario(tmp_path, SPOT_SCENARIO)
     text = open(path).read().replace('"c": 2.0', f'"c": {literal}')
@@ -324,6 +358,27 @@ def test_schema_violation_detail_matches_jsonschema(tmp_path, scenario):
 def test_float_in_integer_field_is_schema_violation(tmp_path, path, value):
     code, _, err = run_main("report", write_scenario(tmp_path, _with(path, value)))
     assert (code, json.loads(err)["error"]) == (2, "SchemaViolation")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--count", "x"],
+    ["fuzz", "--count", "3", "--constraint", "bogus"],
+    ["construct", "--form", "1,0,0"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_errors_exit_2_with_one_json_line(argv):
+    code, out, err = run_main(*argv)
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    assert json.loads(lines[0])["error"] == "UsageError"
+
+
+def test_help_still_prints_usage():
+    proc = run_cli("fuzz", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: gssf fuzz")
 
 
 def test_fuzz_does_not_load_jsonschema():

@@ -251,6 +251,35 @@ def test_delta_bound_slant_mode():
                           generic.tangent.matrix[1], slant_mode=True)
 
 
+# ---------------------------------------------------------- frame sweep
+
+def test_frame_sweep_matches_per_point_bounds(corpus):
+    for point in corpus.points[::10]:
+        n, e = point.n, point.tangent.matrix
+        sweep = G.frame_sweep(point)
+        expected = [G.ricci_bound(point, e[i], "general") for i in range(n)]
+        labels = [f"ricci_bound[general,u={i + 1}]" for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                expected.append(G.delta_bound(point, e[i], e[j]))
+                labels.append(f"delta_bound[{i + 1},{j + 1}]")
+        assert sweep.slacks.shape == (len(expected),)
+        for k, report in enumerate(expected):
+            assert sweep.label(k) == labels[k]
+            assert abs(sweep.slacks[k] - report.slack) <= 1e-12, (labels[k], report)
+        for i in range(n):
+            assert abs(sweep.ricci_defects[i] - expected[i].defect_sum()) <= 1e-12
+
+
+def test_frame_sweep_spot():
+    point = spot_point()
+    sweep = G.frame_sweep(point)
+    assert [sweep.label(k) for k in range(3)] == [
+        "ricci_bound[general,u=1]", "ricci_bound[general,u=2]", "delta_bound[1,2]"]
+    assert np.allclose(sweep.slacks, 0.0, atol=1e-12)
+    assert np.array_equal(sweep.ricci_defects, [0.0, 0.0])
+
+
 # ------------------------------------------------ equality shape forms
 
 def test_equality_instance_examples():

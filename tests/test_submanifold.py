@@ -35,6 +35,20 @@ def test_attach_shape_mismatch():
         G.attach_point(ambient, functions, raw, G.SecondFundamentalForm.zeros(1, 4))
 
 
+def test_attach_point_validates_frames_with_its_tolerance():
+    point = G.random_instance(G.GeneratorConfig(seed=0, n=3, m=4))
+    raw = point.tangent.matrix
+    again = G.attach_point(point.ambient, point.functions, raw, point.sff)
+    defect = max(again.tangent.orthonormality_defect(),
+                 again.normal.orthonormality_defect())
+    assert 0.0 < defect <= G.DEFAULT.orthonormality
+    loose = G.Tolerances(orthonormality=2.0 * defect)
+    strict = G.Tolerances(orthonormality=defect / 2.0)
+    G.attach_point(point.ambient, point.functions, raw, point.sff, tol=loose)
+    with pytest.raises(G.NotOrthonormal):
+        G.attach_point(point.ambient, point.functions, raw, point.sff, tol=strict)
+
+
 def test_attach_c_compatible_requires_zero_xi_rows():
     ambient = G.canonical_model(2)
     functions = G.preset_structure_functions("c_space_form", 1.0)
