@@ -7,6 +7,7 @@ scalar-curvature bounds together with their equality characterizations.
 """
 
 from .ambient import (
+    MAX_M,
     AmbientModel,
     StructureFunctions,
     StructureViolation,

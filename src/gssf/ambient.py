@@ -28,6 +28,9 @@ from .config import DEFAULT, Tolerances
 from .errors import BadConfig, BadDimension
 from .frames import Vec, as_vec
 
+#: largest m of a model; it bounds the (2m + 2)^2 arrays built per model
+MAX_M = 256
+
 
 @dataclass(frozen=True)
 class StructureFunctions:
@@ -104,8 +107,8 @@ def canonical_model(m: int) -> AmbientModel:
     the structure vectors are xi_alpha = dz_alpha.  Models are immutable,
     so instances are cached and shared.
     """
-    if m < 1:
-        raise BadDimension("m must be a positive integer")
+    if not 1 <= m <= MAX_M:
+        raise BadDimension(f"m must be an integer in 1..{MAX_M}, got {m}")
     dim = 2 * m + 2
     f = np.zeros((dim, dim))
     for k in range(m):

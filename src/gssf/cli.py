@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .ambient import canonical_model, validate_f_structure
+from .ambient import MAX_M, canonical_model, validate_f_structure
 from .config import DEFAULT
 from .errors import BadConfig, GssfError, UsageError
 from .generators import GeneratorConfig, random_instance
@@ -87,6 +87,9 @@ def _cmd_fuzz(args) -> int:
         return _input_error("BadConfig", "--n-range must look like 'a..b'")
     if not 1 <= lo <= hi:
         return _input_error("BadConfig", "--n-range must satisfy 1 <= a <= b")
+    if hi + 1 > MAX_M:  # trials alternate m = n and m = n + 1
+        return _input_error("BadConfig",
+                            f"--n-range must end at most at {MAX_M - 1} (m <= {MAX_M})")
     tol_eq = _resolve_tol(args)
 
     worst_slack = None

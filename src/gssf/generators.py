@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import AmbientModel, StructureFunctions, canonical_model
+from .ambient import MAX_M, AmbientModel, StructureFunctions, canonical_model
 from .errors import BadConfig, BadDimension
 from .frames import Vec
 from .submanifold import (
@@ -38,7 +38,9 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 1:
             raise BadConfig("n must be at least 1")
-        if self.m < 1 or self.n > 2 * self.m:
+        if not 1 <= self.m <= MAX_M:
+            raise BadConfig(f"m must lie in 1..{MAX_M}")
+        if self.n > 2 * self.m:
             raise BadConfig("need n + 2 <= 2m + 2")
         if not (math.isfinite(self.sigma_scale) and self.sigma_scale > 0):
             raise BadConfig("sigma_scale must be positive and finite")
@@ -115,19 +117,24 @@ def _random_rotation(rng: np.random.Generator, dim: int, block: int) -> np.ndarr
 
     Two passes over adjacent pairs plus one over offset pairs connect
     every axis to every other, which is enough mixing for fuzzing while
-    leaving the trailing (structure) axes untouched.
+    leaving the trailing (structure) axes untouched.  The rotations act
+    on the leading block only, row by row on Python floats, which is the
+    same arithmetic per entry as whole-row array updates at a fraction of
+    the call overhead for blocks this small.
     """
-    g = np.eye(dim)
     pairs = [(i, i + 1) for i in range(block - 1)]
     offset = max(2, block // 2)
     sweep = pairs + [(i, i + offset) for i in range(block - offset)] + pairs
-    for i, j in sweep:
-        angle = rng.uniform(0.0, 2.0 * math.pi)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=len(sweep)).tolist()
+    g = np.eye(block).tolist()
+    for (i, j), angle in zip(sweep, angles):
         c, s = math.cos(angle), math.sin(angle)
-        gi = g[i].copy()
-        g[i] = c * gi - s * g[j]
-        g[j] = s * gi + c * g[j]
-    return g
+        gi, gj = g[i], g[j]
+        g[i] = [c * x - s * y for x, y in zip(gi, gj)]
+        g[j] = [s * x + c * y for x, y in zip(gi, gj)]
+    rotation = np.eye(dim)
+    rotation[:block, :block] = g
+    return rotation
 
 
 def random_instance(config: GeneratorConfig) -> SubmanifoldPoint:
@@ -135,9 +142,8 @@ def random_instance(config: GeneratorConfig) -> SubmanifoldPoint:
     structure functions, constrained random form coefficients."""
     rng = np.random.default_rng(config.seed)
     ambient = canonical_model(config.m)
-    functions = StructureFunctions(
-        *[rng.uniform(lo, hi) for lo, hi in config.f_ranges]
-    )
+    lo, hi = np.array(config.f_ranges).T
+    functions = StructureFunctions(*rng.uniform(lo, hi).tolist())
 
     n = config.n
     slant_possible = n >= 2 and n % 2 == 0 and ambient.m >= n
@@ -146,7 +152,7 @@ def random_instance(config: GeneratorConfig) -> SubmanifoldPoint:
         theta = rng.uniform(0.0, math.pi / 2.0)
         base = slant_frame(ambient, n, theta)[:n]
     else:
-        base = [np.eye(ambient.dim)[k] for k in range(n)]
+        base = np.eye(ambient.dim)[:n]
 
     rotation = _random_rotation(rng, ambient.dim, 2 * config.m)
     l_part = [rotation @ v for v in base]

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .ambient import StructureFunctions, canonical_model, preset_structure_functions
+from .ambient import MAX_M, StructureFunctions, canonical_model, preset_structure_functions
 from .config import DEFAULT
 from .errors import BadConfig, NonFinite, SchemaViolation
 from .generators import anti_invariant_frame, random_sff, slant_frame
@@ -67,7 +67,7 @@ SCENARIO_SCHEMA = {
     "properties": {
         "ambient": {
             "type": "object",
-            "properties": {"m": {"type": "integer", "minimum": 1}},
+            "properties": {"m": {"type": "integer", "minimum": 1, "maximum": MAX_M}},
             "required": ["m"],
             "additionalProperties": False,
         },
@@ -207,7 +207,7 @@ def assemble(data: dict) -> tuple[SubmanifoldPoint, list[dict], dict]:
     frame_cfg = data["frame"]
     mode = frame_cfg["mode"]
     if mode == "explicit":
-        raw = [np.asarray(v, dtype=float) for v in frame_cfg["vectors"]]
+        raw = frame_cfg["vectors"]
         n = len(raw) - 2
     else:
         n = frame_cfg["n"]

@@ -2,12 +2,12 @@
 
 A point bundles an orthonormal tangent frame whose last two vectors are
 the structure vectors xi_1, xi_2, the orthonormal complement as normal
-frame, and formal second fundamental form coefficients sigma[r][i][j].
-The coefficients are input data, not derived from an immersion: every
-implemented identity and bound is frame algebra, so it holds for formal
-data and can be fuzzed.  Constraints coming from genuine geometry (for
-instance sigma(X, xi_alpha) = 0 over a flat-normal structure) are
-opt-in flags.
+frame (built on first use), and formal second fundamental form
+coefficients sigma[r][i][j].  The coefficients are input data, not
+derived from an immersion: every implemented identity and bound is
+frame algebra, so it holds for formal data and can be fuzzed.
+Constraints coming from genuine geometry (for instance
+sigma(X, xi_alpha) = 0 over a flat-normal structure) are opt-in flags.
 
 Induced curvature follows the Gauss equation
 
@@ -32,12 +32,14 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     BadShape,
     DependentInput,
+    DimensionMismatch,
+    NonFinite,
     NotInL,
     NotTangent,
     NotUnitVector,
     XiNotTangent,
 )
-from .frames import Basis, Vec, as_vec, complete_basis, gram_schmidt, project
+from .frames import Basis, Vec, as_vec, complete_basis, project
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +141,10 @@ class SubmanifoldPoint:
     ambient: AmbientModel
     functions: StructureFunctions
     tangent: Basis
-    normal: Basis
     sff: SecondFundamentalForm
     flags: PointFlags = field(default_factory=PointFlags)
+    #: the tolerances the frames were validated with
+    tol: Tolerances = DEFAULT
 
     @property
     def n(self) -> int:
@@ -150,7 +153,15 @@ class SubmanifoldPoint:
 
     @property
     def normal_rank(self) -> int:
-        return len(self.normal)
+        return self.ambient.dim - len(self.tangent)
+
+    @cached_property
+    def normal(self) -> Basis:
+        """Orthonormal complement of the tangent frame, validated with the
+        point's tolerances.  No invariant reads it, so it is built on first
+        use."""
+        rows = complete_basis(self.tangent.matrix, self.normal_rank)
+        return Basis(rows, self.tol)
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -229,46 +240,34 @@ def attach_point(ambient: AmbientModel, functions: StructureFunctions,
     The raw vectors must be linearly independent and their span must
     contain both structure vectors.  The returned tangent frame holds an
     orthonormalized L-part (input order preserved) followed by xi_1,
-    xi_2 exactly; the normal frame is the orthonormal complement.
+    xi_2 exactly; the normal frame is the orthonormal complement, built
+    and validated on first use.
     """
     flags = flags or PointFlags()
-    vecs = [as_vec(v, dim=ambient.dim) for v in raw_tangent]
-    if len(vecs) < 2:
-        raise BadShape("the tangent span must contain both structure vectors")
-
-    raw_basis = gram_schmidt(vecs, tol=tol)  # DependentInput on rank deficiency
-    for alpha in range(2):
-        xi = ambient.xi[alpha]
-        residual = float(np.linalg.norm(xi - project(xi, raw_basis)))
-        if residual > tol.tangency:
-            raise XiNotTangent(
-                f"xi_{alpha + 1} is off the tangent span by {residual:.3e}"
-            )
+    raw = _checked_raw_vectors(raw_tangent, ambient.xi, tol)
 
     # Strip structure components, then orthonormalize what is left of each
     # input vector; vectors that were pure xi combinations drop out.
     l_rows: list[Vec] = []
-    for v in vecs:
+    for v in raw:
         w = v - ambient.xi.T @ (ambient.xi @ v)
+        if not w.any():
+            continue
         for _ in range(2):
             for u in l_rows:
                 w -= (w @ u) * u
         norm = float(np.linalg.norm(w))
         if norm > tol.tangency:
             l_rows.append(w / norm)
-    if len(l_rows) != len(vecs) - 2:
+    if len(l_rows) != len(raw) - 2:
         raise DependentInput(
             "tangent span does not split into an L-part plus the structure vectors"
         )
 
-    tangent_rows = np.vstack(l_rows + [ambient.xi[0], ambient.xi[1]]) \
-        if l_rows else np.vstack([ambient.xi[0], ambient.xi[1]])
-    tangent = Basis(tangent_rows, tol)
+    tangent = Basis(np.vstack(l_rows + [ambient.xi[0], ambient.xi[1]]), tol)
     n = len(tangent) - 2
-    normal_rows = complete_basis(tangent.matrix, ambient.dim - len(tangent))
-    normal = Basis(normal_rows, tol)
 
-    expected = (len(normal), n + 2, n + 2)
+    expected = (ambient.dim - len(tangent), n + 2, n + 2)
     if sff.coeffs.shape != expected:
         raise BadShape(
             f"second fundamental form has shape {sff.coeffs.shape}, expected {expected}"
@@ -280,7 +279,54 @@ def attach_point(ambient: AmbientModel, functions: StructureFunctions,
                 "c_compatible flag requires sigma(., xi_alpha) = 0 exactly"
             )
     return SubmanifoldPoint(ambient=ambient, functions=functions,
-                            tangent=tangent, normal=normal, sff=sff, flags=flags)
+                            tangent=tangent, sff=sff, flags=flags, tol=tol)
+
+
+def _checked_raw_vectors(raw_tangent, xi: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The raw tangent vectors as the rows of one array, after every input
+    check: shape, dimension, finiteness, rank and tangency of xi_1, xi_2.
+
+    ``|R_ii| / |v_i|`` of ``raw.T = QR`` is the distance of v_i from the
+    span of the vectors before it, relative to its length: the pivot
+    Gram-Schmidt compares with ``rank_pivot``.
+    """
+    dim = xi.shape[1]
+    try:
+        raw = np.asarray(raw_tangent, dtype=float)
+    except ValueError as exc:
+        if len({np.shape(v) for v in raw_tangent}) > 1:  # vectors of unequal length
+            raise DimensionMismatch("tangent vectors must share one dimension") from exc
+        raise
+    if raw.ndim != 2:
+        raise BadShape(f"expected one 1-D vector per row, got array of shape {raw.shape}")
+    count = raw.shape[0]
+    if raw.shape[1] != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {raw.shape[1]}")
+    if not np.all(np.isfinite(raw)):
+        raise BadShape("vector entries must be finite")
+    if count < 2:
+        raise BadShape("the tangent span must contain both structure vectors")
+    with np.errstate(over="ignore"):
+        sq_norms = np.einsum("ij,ij->i", raw, raw)
+    if not np.all(np.isfinite(sq_norms)):
+        first = int(np.argmin(np.isfinite(sq_norms))) + 1
+        raise NonFinite(f"tangent vector {first} is too long: its squared norm overflows")
+
+    if count > dim:
+        raise DependentInput(f"{count} vectors cannot be independent in dimension {dim}")
+    if not np.all(sq_norms > 0.0):
+        raise DependentInput("zero vector in input")
+    q, r = np.linalg.qr(raw.T)
+    pivots = np.abs(np.diagonal(r)) / np.sqrt(sq_norms)
+    if np.any(pivots < tol.rank_pivot):
+        raise DependentInput(f"rank deficiency detected (pivot {pivots.min():.3e})")
+    residuals = np.linalg.norm(xi - (xi @ q) @ q.T, axis=1)
+    for alpha, residual in enumerate(residuals):
+        if residual > tol.tangency:
+            raise XiNotTangent(
+                f"xi_{alpha + 1} is off the tangent span by {residual:.3e}"
+            )
+    return raw
 
 
 def tn_decompose(point: SubmanifoldPoint, x, tol: Tolerances = DEFAULT) -> tuple[Vec, Vec]:

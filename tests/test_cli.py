@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from gssf import cli
+from gssf import MAX_M, SchemaViolation, cli
 from gssf.jsonutil import dumps
-from gssf.scenario import SCENARIO_SCHEMA
+from gssf.scenario import SCENARIO_SCHEMA, validate_scenario
 
 SPOT_SCENARIO = {
     "ambient": {"m": 2},
@@ -324,6 +324,42 @@ def test_non_finite_scenario_number_exits_2(tmp_path, literal):
     text = open(path).read().replace('"c": 2.0', f'"c": {literal}')
     open(path, "w").write(text)
     assert_input_error(run_cli("report", path), "NonFinite")
+
+
+def test_overflowing_frame_vector_exits_2(tmp_path):
+    vectors = [[1e308, 1e308, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+    scenario = _with(["frame"], {"mode": "explicit", "vectors": vectors})
+    proc = run_cli("report", write_scenario(tmp_path, scenario))
+    assert_input_error(proc, "NonFinite")
+
+
+def _no_model(m):
+    raise AssertionError(f"a model was built for m = {m}")
+
+
+@pytest.mark.parametrize("command", ["report", "validate"])
+def test_scenario_m_beyond_the_cap_is_schema_violation(tmp_path, monkeypatch, command):
+    monkeypatch.setattr("gssf.scenario.canonical_model", _no_model)
+    monkeypatch.setattr("gssf.cli.canonical_model", _no_model)
+    path = write_scenario(tmp_path, _with(["ambient", "m"], 10**9))
+    code, out, err = run_main(command, path)
+    assert (code, out, json.loads(err)["error"]) == (2, "", "SchemaViolation")
+    validate_scenario(_with(["ambient", "m"], MAX_M))
+    with pytest.raises(SchemaViolation):
+        validate_scenario(_with(["ambient", "m"], MAX_M + 1))
+
+
+@pytest.mark.parametrize("n_range", ["1..1000000000", f"1..{MAX_M}", f"{MAX_M}..{MAX_M}"])
+def test_fuzz_n_range_beyond_the_m_cap_exits_2(monkeypatch, n_range):
+    monkeypatch.setattr("gssf.generators.canonical_model", _no_model)
+    code, out, err = run_main("fuzz", "--count", "3", "--n-range", n_range)
+    assert (code, out, json.loads(err)["error"]) == (2, "", "BadConfig")
+
+
+def test_fuzz_n_range_up_to_the_m_cap_runs():
+    code, out, err = run_main("fuzz", "--count", "2", "--n-range", f"1..{MAX_M - 1}")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n_range"] == [1, MAX_M - 1]
 
 
 def test_scenario_schema_is_valid():

@@ -49,6 +49,86 @@ def test_attach_point_validates_frames_with_its_tolerance():
         G.attach_point(point.ambient, point.functions, raw, point.sff, tol=strict)
 
 
+def test_normal_frame_is_validated_lazily_with_the_point_tolerance():
+    point = G.random_instance(G.GeneratorConfig(seed=11, n=3, m=4))
+    raw = point.tangent.matrix
+    again = G.attach_point(point.ambient, point.functions, raw, point.sff)
+    tangent_defect = again.tangent.orthonormality_defect()
+    normal_defect = again.normal.orthonormality_defect()
+    assert tangent_defect < normal_defect
+    between = G.Tolerances(orthonormality=(tangent_defect + normal_defect) / 2.0)
+    strict = G.attach_point(point.ambient, point.functions, raw, point.sff, tol=between)
+    assert strict.tol is between and strict.normal_rank == 5
+    with pytest.raises(G.NotOrthonormal):
+        strict.normal
+
+
+def _reference_span_check(ambient, raw, tol=G.DEFAULT):
+    """The rank and structure-vector tests as Gram-Schmidt plus projection."""
+    basis = G.gram_schmidt(raw, tol=tol)
+    for xi in ambient.xi:
+        if np.linalg.norm(xi - G.project(xi, basis)) > tol.tangency:
+            raise G.XiNotTangent("xi is off the span")
+
+
+def _span_cases():
+    ambient = G.canonical_model(3)
+    xi1, xi2 = ambient.xi
+    eye = np.eye(ambient.dim)
+    rng = np.random.default_rng(5)
+    cases = {}
+    for k in range(6):
+        l_part = list(rng.normal(size=(1 + k % 5, ambient.dim)))
+        cases[f"random-{k}"] = l_part + [xi1 + l_part[0], 2.0 * xi2 - xi1]
+    v = rng.normal(size=ambient.dim)
+    cases["repeated"] = [v, eye[2], v, xi1, xi2]
+    # relative pivot 1e-14: only the rank test sees it, the L-part keeps 1e-8
+    cases["near-dependent-long"] = [1e6 * eye[0], 1e6 * eye[0] + 1e-8 * eye[1], xi1, xi2]
+    cases["zero"] = [v, np.zeros(ambient.dim), xi1, xi2]
+    cases["more-than-dim"] = list(rng.normal(size=(ambient.dim + 1, ambient.dim)))
+    cases["xi-off-1e-8"] = [eye[0], eye[2], xi1, xi2 + 1e-8 * eye[1]]
+    cases["xi-off-1e-11"] = [eye[0], eye[2], xi1, xi2 + 1e-11 * eye[1]]
+    return ambient, cases
+
+
+_SPAN_AMBIENT, _SPAN_CASES = _span_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_SPAN_CASES))
+def test_attach_point_span_checks_match_gram_schmidt(name):
+    ambient, raw = _SPAN_AMBIENT, _SPAN_CASES[name]
+    try:
+        _reference_span_check(ambient, raw)
+        expected = None
+    except G.GssfError as exc:
+        expected = type(exc)
+    assert (expected is None) == (name.startswith("random") or name == "xi-off-1e-11")
+    t = len(raw)
+    sff = G.SecondFundamentalForm.zeros(max(ambient.dim - t, 0), t)
+    functions = G.preset_structure_functions("s_space_form", 2.0)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        if expected is None:
+            assert G.attach_point(ambient, functions, raw, sff).n == t - 2
+        else:
+            with pytest.raises(expected):
+                G.attach_point(ambient, functions, raw, sff)
+
+
+@pytest.mark.parametrize("raw, error", [
+    ([[1.0, 0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0, 0]], G.DimensionMismatch),
+    ([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]], G.DimensionMismatch),
+    ([[math.nan, 0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]], G.BadShape),
+    ([[[1.0, 0, 0, 0]], [[0, 0, 1.0, 0]]], G.BadShape),
+    ([[0, 0, 1.0, 0]], G.BadShape),
+    ([[1e308, 1e308, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]], G.NonFinite),
+], ids=["ragged", "wrong-dim", "nan", "not-rows", "one-vector", "norm-overflow"])
+def test_attach_point_rejects_malformed_vectors(raw, error):
+    ambient = G.canonical_model(1)
+    functions = G.preset_structure_functions("s_space_form", 2.0)
+    with np.errstate(divide="raise", over="raise", invalid="raise"), pytest.raises(error):
+        G.attach_point(ambient, functions, raw, G.SecondFundamentalForm.zeros(1, 3))
+
+
 def test_attach_c_compatible_requires_zero_xi_rows():
     ambient = G.canonical_model(2)
     functions = G.preset_structure_functions("c_space_form", 1.0)
