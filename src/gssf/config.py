@@ -26,12 +26,8 @@ class Tolerances:
     membership: float = 1e-8
     #: residual for matching shape-operator equality patterns
     shape_match: float = 1e-8
-    #: defect terms must reproduce the slack of a bound this closely
-    defect_sum: float = 1e-8
     #: max deviation of sampled angles for a slant diagnosis
     slant_spread: float = 1e-6
-    #: plane search stops once a full round improves less than this
-    search_improvement: float = 1e-10
 
 
 DEFAULT = Tolerances()

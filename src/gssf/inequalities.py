@@ -32,10 +32,10 @@ from .submanifold import (
     PointFlags,
     SecondFundamentalForm,
     SubmanifoldPoint,
+    _require_unit_l,
     attach_point,
     classify_sff,
     relative_null_space,
-    ricci_frame_data,
     slant_probe,
 )
 
@@ -177,6 +177,31 @@ def _require_c_form_preset(point: SubmanifoldPoint, tol: Tolerances):
         )
 
 
+def _ricci_rhs(n: int, f: StructureFunctions, h_sq: float, tu_sq):
+    """Right side of the general Ricci bound; ``tu_sq`` = |TU|^2 may be an
+    array of directions."""
+    return (n + 2) ** 2 / 4.0 * h_sq + (n + 1) * f.f1 + 3.0 * tu_sq * f.f2 - (f.f11 + f.f22)
+
+
+def _ricci_defect_terms(sigma: np.ndarray, u: np.ndarray, upper: int):
+    """Defect terms of the Ricci bound at unit L-directions, in closed form.
+
+    ``u`` holds one direction per row in L-frame coordinates; the trace
+    and sigma_r u run over the first ``upper`` frame vectors (n + 2 for
+    the general bound, the L-frame alone for ``c_form``).  Returns
+    (trace_gaps, mixed), each indexed [r, direction], with
+    trace_gap_r = 1/4 (2 sigma_r(u, u) - tr sigma_r)^2 and
+    mixed_r = |sigma_r u|^2 - sigma_r(u, u)^2.
+    """
+    n = u.shape[1]
+    su = sigma[:, :upper, :n] @ u.T  # sigma_r(e_j, u)
+    uu = np.einsum("rjk,kj->rk", su[:, :n], u)
+    trace = np.einsum("rjj->r", sigma[:, :upper, :upper])
+    trace_gaps = 0.25 * (2.0 * uu - trace[:, None]) ** 2
+    mixed = np.einsum("rjk,rjk->rk", su, su) - uu ** 2
+    return trace_gaps, mixed
+
+
 def ricci_bound(point: SubmanifoldPoint, u, variant: str = "general",
                 tol: Tolerances = DEFAULT) -> BoundReport:
     """Upper bound for Ric(U) of a unit direction U in L.
@@ -186,41 +211,54 @@ def ricci_bound(point: SubmanifoldPoint, u, variant: str = "general",
     direction.  ``s_form`` and ``c_form`` are the sharper bounds
     available when the structure functions take the constant-curvature
     S- or C-family values (the latter additionally requires the
-    c_compatible flag).
+    c_compatible flag).  Ric(U) is read off the point's cached Ricci
+    form and |TU|^2 is |phi c|^2 for the L-frame coordinates c of U.
     """
     n = point.n
     f = point.functions
-    ric, sigma_rot, tu_sq = ricci_frame_data(point, u, tol)
+    c = _require_unit_l(point, u, tol)
+    ric = float(c @ point.ricci_form @ c)
+    tu_sq = float(np.sum((point.phi[:, :n] @ c) ** 2))
     h_sq = point.h_norm_sq
     quarter = (n + 2) ** 2 / 4.0
 
-    def defect_pairs(upper: int) -> tuple[tuple[str, float], ...]:
-        diag = np.einsum("rii->ri", sigma_rot)
-        trace_gaps = 0.25 * (diag[:, 0] - diag[:, 1:upper].sum(axis=1)) ** 2
-        mixed = (sigma_rot[:, 0, 1:upper] ** 2).sum(axis=1)
-        terms = []
-        for r in range(sigma_rot.shape[0]):
-            terms.append((f"trace_gap_r{r + 1}", float(trace_gaps[r])))
-            terms.append((f"mixed_r{r + 1}", float(mixed[r])))
-        return tuple(terms)
-
-    defects: tuple[tuple[str, float], ...] | None = None
+    upper = None
     if variant == "general":
-        rhs = quarter * h_sq + (n + 1) * f.f1 + 3.0 * tu_sq * f.f2 - (f.f11 + f.f22)
-        defects = defect_pairs(n + 2)
+        rhs = _ricci_rhs(n, f, h_sq, tu_sq)
+        upper = n + 2
     elif variant == "s_form":
         _require_s_form_preset(f, tol)
         rhs = quarter * h_sq + (n - 1) * f.f1 + (3.0 * f.f1 - 4.0) * tu_sq
     elif variant == "c_form":
         _require_c_form_preset(point, tol)
         rhs = quarter * h_sq + ((n - 1) + 3.0 * tu_sq) * f.f1
-        defects = defect_pairs(n)
+        upper = n
     else:
         raise VariantPreconditionViolated(f"unknown variant {variant!r}")
+
+    defects: tuple[tuple[str, float], ...] | None = None
+    if upper is not None:
+        trace_gaps, mixed = _ricci_defect_terms(point.sff.coeffs, c[None, :], upper)
+        defects = tuple(
+            term for r in range(trace_gaps.shape[0])
+            for term in ((f"trace_gap_r{r + 1}", float(trace_gaps[r, 0])),
+                         (f"mixed_r{r + 1}", float(mixed[r, 0])))
+        )
 
     slack = rhs - ric
     return BoundReport(lhs=ric, rhs=rhs, slack=slack,
                        equality=slack <= tol.equality, defect_terms=defects)
+
+
+def _delta_rhs(n: int, f: StructureFunctions, h_sq: float) -> float:
+    """Right side of the plane bound before its F2 term, which callers add
+    last (this fixes the order of the additions)."""
+    return (
+        n * (n + 2) ** 2 / (2.0 * (n + 1)) * h_sq
+        + n * (n + 3) / 2.0 * f.f1
+        + f.f3
+        - (n + 1) * (f.f11 + f.f22)
+    )
 
 
 @dataclass(frozen=True)
@@ -258,9 +296,9 @@ class FrameSweep:
 def _sweep_layout(n: int):
     """Index arrays of the frame sweep at dimension n.
 
-    Row i of ``order`` is the tangent frame with e_i and e_0 swapped,
-    the frame ``ricci_bound`` adapts to U = e_i.  The Ricci sums add in
-    that order, so at U = e_0 the two paths agree to the bit.
+    Row i of ``order`` is the tangent frame with e_i and e_0 swapped.
+    The sectional Ricci sums add in that order, which fixes their
+    rounding and so pins the bytes of ``gssf fuzz`` reports for a seed.
     """
     order = np.tile(np.arange(n + 2), (n, 1))
     order[:, 0] = np.arange(n)
@@ -277,12 +315,11 @@ def frame_sweep(point: SubmanifoldPoint) -> FrameSweep:
 
     Ric(e_i) is row i of ``sectional_matrix`` summed and |T e_i|^2 the
     squared column i of ``phi``; the plane bound at (e_i, e_j) reads
-    K(e_i ^ e_j) and g(e_i, f e_j) off the same arrays.  The defect sum
-    of direction i is sum_r 1/4 (2 sigma_r(e_i, e_i) - tr sigma_r)^2 +
-    sum_{j != i} sigma_r(e_i, e_j)^2, read off sigma with no frame
-    change.  :func:`ricci_bound` (variant ``general``) and
-    :func:`delta_bound` on frame vectors are the reference the sweep is
-    tested against.
+    K(e_i ^ e_j) and g(e_i, f e_j) off the same arrays.  The defect sums
+    come from the kernel :func:`ricci_bound` uses, at the frame vectors.
+    :func:`ricci_bound` (variant ``general``, which reads the Ricci form
+    instead of the sectional sums) and :func:`delta_bound` on frame
+    vectors are the reference the sweep is tested against.
 
     Unlike those two, the sweep runs no unit, tangency or L-membership
     check: they guard vectors a caller supplies, while the sweep only
@@ -300,24 +337,13 @@ def frame_sweep(point: SubmanifoldPoint) -> FrameSweep:
 
     ric = k[own, order[:, 1:]].sum(axis=1)
     tu_sq = (phi[order, own] ** 2).sum(axis=1)
-    ricci_rhs = ((n + 2) ** 2 / 4.0 * h_sq + (n + 1) * f.f1
-                 + 3.0 * tu_sq * f.f2 - (f.f11 + f.f22))
+    ricci_rhs = _ricci_rhs(n, f, h_sq, tu_sq)
 
     f_sq = phi[pair_i, pair_j] ** 2
     delta_lhs = point.tau - k[pair_i, pair_j]
-    delta_rhs = (
-        n * (n + 2) ** 2 / (2.0 * (n + 1)) * h_sq
-        + n * (n + 3) / 2.0 * f.f1
-        + f.f3
-        - (n + 1) * (f.f11 + f.f22)
-        + 3.0 * f.f2 * (point.t_norm_sq / 2.0 - f_sq)
-    )
+    delta_rhs = _delta_rhs(n, f, h_sq) + 3.0 * f.f2 * (point.t_norm_sq / 2.0 - f_sq)
 
-    sigma = point.sff.coeffs
-    columns = sigma[:, :, :n]  # sigma_r(e_j, e_i) for e_i in L
-    diag = np.einsum("rii->ri", columns[:, :n])
-    trace_gaps = 0.25 * (2.0 * diag - np.einsum("rii->r", sigma)[:, None]) ** 2
-    mixed = np.einsum("rji,rji->ri", columns, columns) - diag ** 2
+    trace_gaps, mixed = _ricci_defect_terms(point.sff.coeffs, np.eye(n), n + 2)
     return FrameSweep(
         n=n,
         slacks=np.concatenate([ricci_rhs - ric, delta_rhs - delta_lhs]),
@@ -432,13 +458,7 @@ def delta_bound(point: SubmanifoldPoint, x, y, slant_mode: bool = False,
     else:
         t_sq = point.t_norm_sq
 
-    rhs = (
-        n * (n + 2) ** 2 / (2.0 * (n + 1)) * point.h_norm_sq
-        + n * (n + 3) / 2.0 * f.f1
-        + f.f3
-        - (n + 1) * (f.f11 + f.f22)
-        + 3.0 * f.f2 * (t_sq / 2.0 - f_sq)
-    )
+    rhs = _delta_rhs(n, f, point.h_norm_sq) + 3.0 * f.f2 * (t_sq / 2.0 - f_sq)
     slack = rhs - lhs
     return BoundReport(lhs=lhs, rhs=rhs, slack=slack, equality=slack <= tol.equality)
 
@@ -551,17 +571,17 @@ def _update_block(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
 
 
 def minimize_sectional_plane(point: SubmanifoldPoint,
-                             options: PlaneSearchOptions = PlaneSearchOptions(),
-                             tol: Tolerances = DEFAULT):
+                             options: PlaneSearchOptions = PlaneSearchOptions()):
     """Best-effort infimum of induced K over 2-planes inside L.
 
     Multi-start alternating minimization: starts at every L-frame pair
     plus seeded random pairs, and repeatedly replaces one plane vector
     by the exact minimizer in the other's orthogonal complement until a
-    full round improves less than the search tolerance.  Returns
-    (value, a, b) with the plane in L-frame coordinates.  The value is
-    an upper bound for the true infimum, which is all the bound checks
-    need; a best-effort argmin is reported for diagnosis.
+    full round improves less than ``options.improvement_tol``.  Returns
+    (value, a, b) with the plane in L-frame coordinates.  The value is K
+    of an actual plane, so it is an upper bound for the true infimum: it
+    can refute a bound on tau - inf K, but a bound that holds at it is
+    not certified.  The argmin is best-effort, for diagnosis.
     """
     n = point.n
     if n < 2:
@@ -628,17 +648,12 @@ def global_delta_bounds(point: SubmanifoldPoint,
     """
     n = point.n
     f = point.functions
-    inf_k, a, b = minimize_sectional_plane(point, options, tol)
+    inf_k, a, b = minimize_sectional_plane(point, options)
     e_l = point.tangent.matrix[:n]
     argmin = (a @ e_l, b @ e_l)
     lhs = point.tau - inf_k
 
-    base = (
-        n * (n + 2) ** 2 / (2.0 * (n + 1)) * point.h_norm_sq
-        + n * (n + 3) / 2.0 * f.f1
-        + f.f3
-        - (n + 1) * (f.f11 + f.f22)
-    )
+    base = _delta_rhs(n, f, point.h_norm_sq)
     diagnosis: dict = {}
     if f.f2 >= 0.0:
         branch = "f2_nonneg"

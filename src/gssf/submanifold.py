@@ -202,6 +202,25 @@ class SubmanifoldPoint:
         n = self.n
         return float(np.sum(self.phi[:n, :n] ** 2))
 
+    @cached_property
+    def ricci_form(self) -> np.ndarray:
+        """Ric(e_i, e_k) over the L-frame, so Ric(U) = c . ricci_form . c for
+        the L-frame coordinates c of a unit U in L.
+
+        The ambient part is ((n+1) F1 - (F11 + F22)) g + 3 F2 g(T., T.),
+        the Gauss part sum_r tr(sigma_r) sigma_r - <sigma_r ., sigma_r .>.
+        """
+        n = self.n
+        f = self.functions
+        phi_l = self.phi[:, :n]
+        s = self.sff.coeffs
+        s_l = s[:, :, :n]
+        ambient = (((n + 1) * f.f1 - (f.f11 + f.f22)) * np.eye(n)
+                   + 3.0 * f.f2 * (phi_l.T @ phi_l))
+        gauss = (np.einsum("r,rik->ik", np.einsum("rjj->r", s), s_l[:, :n])
+                 - np.einsum("rji,rjk->ik", s_l, s_l))
+        return ambient + gauss
+
     def tangent_coords(self, x, tol: Tolerances = DEFAULT) -> np.ndarray:
         """Coordinates of a tangent vector in the tangent frame."""
         v = as_vec(x, dim=self.ambient.dim)
@@ -438,55 +457,23 @@ def scalar_identity_check(point: SubmanifoldPoint) -> ScalarIdentityReport:
     return ScalarIdentityReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs))
 
 
-def _adapted_l_rotation(point: SubmanifoldPoint, u_l: np.ndarray) -> np.ndarray:
-    """Orthogonal (n+2)-frame change putting the unit L-vector first.
-
-    Rows are the new tangent frame in old tangent-frame coordinates; the
-    structure directions stay fixed as the last two rows.  The L-block
-    is the Householder reflection exchanging the first coordinate
-    direction with the given vector, an exactly orthogonal completion.
-    """
-    n = point.n
-    u = u_l[:n] / np.linalg.norm(u_l[:n])
-    c = np.eye(n + 2)
-    w = u.copy()
-    w[0] -= 1.0
-    norm_sq = float(w @ w)
-    if norm_sq > 1e-14:
-        c[:n, :n] -= np.outer(w, w) * (2.0 / norm_sq)
-    return c
-
-
 def _require_unit_l(point: SubmanifoldPoint, u, tol: Tolerances) -> np.ndarray:
+    """L-frame coordinates of a unit direction U in L, rescaled to unit length.
+
+    U must have unit length and lie in L, both within ``tol.tangency``.
+    """
     v = as_vec(u, dim=point.ambient.dim)
     if abs(np.linalg.norm(v) - 1.0) > tol.tangency:
         raise NotUnitVector("direction must have unit length")
-    return point.l_coords(v, tol)
-
-
-def ricci_frame_data(point: SubmanifoldPoint, u, tol: Tolerances = DEFAULT):
-    """Ricci curvature of a unit L-direction with its adapted-frame data.
-
-    Completes a tangent frame starting at U (structure vectors fixed
-    last), rotates the form coefficients into it, and sums the induced
-    sectional curvatures of U against the remaining n + 1 directions.
-    Returns (ricci, rotated sigma, |TU|^2).
-    """
-    coords = _require_unit_l(point, u, tol)
-    c = _adapted_l_rotation(point, coords)
-    phi_rot = c @ point.phi @ c.T
-    eta_rot = c @ point.eta_frame
-    sigma_rot = np.einsum("ai,bj,rij->rab", c, c, point.sff.coeffs)
-    k = frame_sectional(point.functions, phi_rot, eta_rot) + _gauss_matrix(sigma_rot)
-    ric = float(np.sum(k[0, 1:]))
-    tu_sq = float(np.sum(phi_rot[:, 0] ** 2))
-    return ric, sigma_rot, tu_sq
+    c = point.l_coords(v, tol)[:point.n]
+    return c / np.linalg.norm(c)
 
 
 def ricci(point: SubmanifoldPoint, u, tol: Tolerances = DEFAULT) -> float:
-    """Ricci curvature Ric(U) of a unit direction in L."""
-    value, _, _ = ricci_frame_data(point, u, tol)
-    return value
+    """Ricci curvature Ric(U) of a unit direction in L, read off the
+    cached :attr:`SubmanifoldPoint.ricci_form`."""
+    c = _require_unit_l(point, u, tol)
+    return float(c @ point.ricci_form @ c)
 
 
 def relative_null_space(point: SubmanifoldPoint, tol: Tolerances = DEFAULT) -> list[Vec]:

@@ -52,17 +52,28 @@ def test_ricci_bound_equality_spot():
 
 
 def test_ricci_defect_sum_matches_slack():
+    # general on arbitrary data; c_form, whose traces and sigma_r u run
+    # over the L-frame only, on C-family points with sigma(., xi) = 0
+    c_rng = np.random.default_rng(15)
     for trial in range(60):
         n = 1 + trial % 6
-        cfg = G.GeneratorConfig(seed=4_000 + trial, n=n, m=max(n, 2),
-                                constraint="none")
-        point = G.random_instance(cfg)
-        rng = np.random.default_rng(trial)
-        u = random_unit_l(point, rng)
-        report = G.ricci_bound(point, u, "general")
-        assert report.slack >= -1e-9
-        assert abs(report.slack - report.defect_sum()) <= 1e-8
-        assert all(v >= -1e-12 for _, v in report.defect_terms)
+        c_family = G.preset_structure_functions("c_space_form",
+                                                float(c_rng.uniform(-4, 4)))
+        cases = (
+            ("general", G.GeneratorConfig(seed=4_000 + trial, n=n, m=max(n, 2),
+                                          constraint="none")),
+            ("c_form", G.GeneratorConfig(seed=4_100 + trial, n=n, m=n + trial % 2,
+                                         constraint="c_compatible",
+                                         f_ranges=tuple((v, v) for v in c_family.as_tuple()))),
+        )
+        for variant, cfg in cases:
+            point = G.random_instance(cfg)
+            rng = np.random.default_rng(trial)
+            u = random_unit_l(point, rng)
+            report = G.ricci_bound(point, u, variant)
+            assert report.slack >= -1e-9
+            assert abs(report.slack - report.defect_sum()) <= 1e-8
+            assert all(v >= -1e-12 for _, v in report.defect_terms)
 
 
 def test_s_form_gap_is_twice_normal_part():

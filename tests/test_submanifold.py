@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gssf as G
-from _builders import anti_invariant_point, invariant_point, sff_with, spot_point
+from _builders import anti_invariant_point, invariant_point, random_unit_l, sff_with, spot_point
 
 
 def test_attach_full_tangent_space():
@@ -228,8 +228,8 @@ def test_ricci_preconditions():
 
 def test_ricci_frame_independent_of_completion():
     # Ricci of U must agree with the row sum over the original frame when
-    # U is itself a frame vector.
-    rng = np.random.default_rng(10)
+    # U is itself a frame vector, and with the brute-force Gauss trace
+    # sum_j R(U, e_j, e_j, U) over that frame for any unit U in L.
     for trial in range(10):
         cfg = G.GeneratorConfig(seed=500 + trial, n=3 + trial % 3, m=6,
                                 constraint="none")
@@ -239,6 +239,20 @@ def test_ricci_frame_independent_of_completion():
             point.sectional_matrix[i, i]
         )
         assert abs(G.ricci(point, point.tangent.matrix[i]) - direct) < 1e-9
+
+    rng = np.random.default_rng(10)
+    constraints = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")
+    for n in range(1, 7):
+        for k, constraint in enumerate(constraints):
+            cfg = G.GeneratorConfig(seed=600 + 4 * n + k, n=n, m=n + k % 2,
+                                    constraint=constraint)
+            point = G.random_instance(cfg)
+            for _ in range(2):
+                u = random_unit_l(point, rng)
+                trace = sum(G.induced_curvature(point, u, e, e, u)
+                            for e in point.tangent.matrix)
+                value = G.ricci(point, u)
+                assert abs(value - trace) <= 1e-10 * max(1.0, abs(value)), (n, constraint)
 
 
 def test_scalar_identity_spot_and_structure():
