@@ -9,6 +9,7 @@ errors.  The equality tolerance can be overridden per invocation with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -70,11 +71,11 @@ def _input_error(name: str, message: str) -> int:
 
 
 def _cmd_report(args) -> int:
-    tol_eq = _resolve_tol(args)
+    tol = dataclasses.replace(DEFAULT, equality=_resolve_tol(args))
     data = load_scenario(args.scenario)
     point, checks, echo = assemble(data)
-    records, summary = run_checks(point, checks, tol_eq)
-    _emit(dumps(build_report(echo, records, summary, tol_eq)), args.out)
+    records, summary = run_checks(point, checks, tol)
+    _emit(dumps(build_report(echo, records, summary, tol.equality)), args.out)
     return 0 if summary["fail_count"] == 0 else 1
 
 

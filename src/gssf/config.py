@@ -26,7 +26,7 @@ class Tolerances:
     membership: float = 1e-8
     #: residual for matching shape-operator equality patterns
     shape_match: float = 1e-8
-    #: max deviation of sampled angles for a slant diagnosis
+    #: half-width of the angle range over L below which a point is slant
     slant_spread: float = 1e-6
 
 

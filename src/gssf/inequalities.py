@@ -268,13 +268,10 @@ class FrameSweep:
     ``slacks`` lists the Ricci bound at L-frame directions u = 1..n,
     then the plane bound at frame pairs i < j in lexicographic order:
     the order in which ``gssf fuzz`` reports its checks.
-    ``ricci_defects`` holds the sum of the general Ricci defect terms
-    per L-frame direction, computed from the form coefficients alone.
     """
 
     n: int
     slacks: np.ndarray
-    ricci_defects: np.ndarray
 
     @property
     def ricci_slacks(self) -> np.ndarray:
@@ -315,8 +312,7 @@ def frame_sweep(point: SubmanifoldPoint) -> FrameSweep:
 
     Ric(e_i) is row i of ``sectional_matrix`` summed and |T e_i|^2 the
     squared column i of ``phi``; the plane bound at (e_i, e_j) reads
-    K(e_i ^ e_j) and g(e_i, f e_j) off the same arrays.  The defect sums
-    come from the kernel :func:`ricci_bound` uses, at the frame vectors.
+    K(e_i ^ e_j) and g(e_i, f e_j) off the same arrays.
     :func:`ricci_bound` (variant ``general``, which reads the Ricci form
     instead of the sectional sums) and :func:`delta_bound` on frame
     vectors are the reference the sweep is tested against.
@@ -343,12 +339,7 @@ def frame_sweep(point: SubmanifoldPoint) -> FrameSweep:
     delta_lhs = point.tau - k[pair_i, pair_j]
     delta_rhs = _delta_rhs(n, f, h_sq) + 3.0 * f.f2 * (point.t_norm_sq / 2.0 - f_sq)
 
-    trace_gaps, mixed = _ricci_defect_terms(point.sff.coeffs, np.eye(n), n + 2)
-    return FrameSweep(
-        n=n,
-        slacks=np.concatenate([ricci_rhs - ric, delta_rhs - delta_lhs]),
-        ricci_defects=(trace_gaps + mixed).sum(axis=0),
-    )
+    return FrameSweep(n=n, slacks=np.concatenate([ricci_rhs - ric, delta_rhs - delta_lhs]))
 
 
 def ricci_equality_diagnosis(point: SubmanifoldPoint, u,
@@ -370,32 +361,30 @@ def ricci_equality_diagnosis(point: SubmanifoldPoint, u,
     )
 
 
-def c_form_equality_classifier(point: SubmanifoldPoint, samples: int = 100,
-                               seed: int = 0, tol: Tolerances = DEFAULT) -> CFormEqualityReport:
+def _c_form_slack_form(point: SubmanifoldPoint) -> np.ndarray:
+    """The C-family Ricci slack as a quadratic form on L: the ``c_form``
+    slack at a unit U in L is c . Q . c for its L-frame coordinates c."""
+    n = point.n
+    f = point.functions
+    scalar = (n + 2) ** 2 / 4.0 * point.h_norm_sq + (n - 1) * f.f1
+    return scalar * np.eye(n) + 3.0 * f.f1 * point.t_form - point.ricci_form
+
+
+def c_form_equality_classifier(point: SubmanifoldPoint,
+                               tol: Tolerances = DEFAULT) -> CFormEqualityReport:
     """All-direction equality in the C-family bound against the shape class.
 
     Equality for every unit U in L characterizes totally f-umbilical
-    points when n = 2 and totally geodesic points when n > 2; the
-    all-direction test runs over the L-frame plus seeded random unit
-    combinations.
+    points when n = 2 and totally geodesic points when n > 2.  The slack
+    at U is a quadratic form in U, so it vanishes for every U exactly
+    when the form's spectral norm is within ``tol.equality``.
     """
     n = point.n
     if n < 2:
         raise VariantPreconditionViolated("the classifier needs n >= 2")
     _require_c_form_preset(point, tol)
 
-    e_l = point.tangent.matrix[:n]
-    rng = np.random.default_rng(seed)
-    combos = rng.normal(size=(samples, n))
-    combos /= np.linalg.norm(combos, axis=1)[:, None]
-    directions = np.vstack([np.eye(n), combos]) @ e_l
-
-    all_eq = True
-    for direction in directions:
-        report = ricci_bound(point, direction, "c_form", tol)
-        if abs(report.slack) > tol.equality:
-            all_eq = False
-            break
+    all_eq = bool(np.linalg.norm(_c_form_slack_form(point), 2) <= tol.equality)
     expected = "totally_f_umbilical" if n == 2 else "totally_geodesic"
     has_class = getattr(classify_sff(point, tol), expected)
     return CFormEqualityReport(
@@ -463,16 +452,6 @@ def delta_bound(point: SubmanifoldPoint, x, y, slant_mode: bool = False,
     return BoundReport(lhs=lhs, rhs=rhs, slack=slack, equality=slack <= tol.equality)
 
 
-def _adapted_pair_rotation(point: SubmanifoldPoint, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tangent-frame rotation with the plane pair first, structure rows fixed."""
-    n = point.n
-    pair = np.vstack([a[:n], b[:n]])
-    rest = complete_basis(pair, n - 2) if n > 2 else np.zeros((0, n))
-    c = np.eye(n + 2)
-    c[:n, :n] = np.vstack([pair, rest])
-    return c
-
-
 def delta_equality_shape_check(point: SubmanifoldPoint, x, y,
                                tol: Tolerances = DEFAULT) -> ShapeMatchResult:
     """Test whether the form coefficients take the equality-case patterns.
@@ -482,8 +461,11 @@ def delta_equality_shape_check(point: SubmanifoldPoint, x, y,
     with it (the patterns single that direction out), otherwise the
     normal frame is kept as is with c = 0 forced by tracelessness.
     """
+    n = point.n
     a, b = _orthonormal_l_pair(point, x, y, tol)
-    c_tan = _adapted_pair_rotation(point, a, b)
+    pair = np.vstack([a[:n], b[:n]])
+    c_tan = np.eye(n + 2)  # structure rows fixed
+    c_tan[:n, :n] = np.vstack([pair, complete_basis(pair, n - 2)]) if n > 2 else pair
     sigma = np.einsum("ai,bj,rij->rab", c_tan, c_tan, point.sff.coeffs)
 
     rank = sigma.shape[0]
@@ -634,6 +616,21 @@ def minimize_sectional_plane(point: SubmanifoldPoint,
     return float(values[best]), a[best], b[best]
 
 
+def _off_plane_t_norm(point: SubmanifoldPoint, a: np.ndarray, b: np.ndarray) -> float:
+    """max |Tw| over unit w in L orthogonal to the plane of the orthonormal
+    L-frame coordinates a, b.
+
+    The top eigenvector of t_form compressed to that complement W attains
+    it.  |Tw| is taken at the eigenvector, pushed into W, rather than as
+    the root of its eigenvalue: the root would turn rounding of 1e-16
+    into 1e-8, the size of ``membership``, and when W is anti-invariant
+    the plane directions share the zero eigenvalue.
+    """
+    off_plane = np.eye(point.n) - np.outer(a, a) - np.outer(b, b)
+    _, vecs = np.linalg.eigh(off_plane @ point.t_form @ off_plane)
+    return float(np.linalg.norm(point.phi[:, :point.n] @ (off_plane @ vecs[:, -1])))
+
+
 def global_delta_bounds(point: SubmanifoldPoint,
                         options: PlaneSearchOptions = PlaneSearchOptions(),
                         tol: Tolerances = DEFAULT) -> GlobalDeltaReport:
@@ -641,10 +638,10 @@ def global_delta_bounds(point: SubmanifoldPoint,
 
     For F2 >= 0 the bound carries the extra 3n/2 F2 term and equality is
     characterized by |T|^2 = n with n even (an invariant point); for
-    F2 < 0 the term is dropped and the characterization asks the frame
-    completed from the argmin plane to be anti-invariant in its trailing
-    directions (an adapted-frame check, reported as such).  For n = 2
-    slant points the specialized four-dimensional bound is reported too.
+    F2 < 0 the term is dropped and the characterization asks the
+    complement of the argmin plane in L to be anti-invariant, reported
+    as max |Tw| over its unit vectors w.  For n = 2 slant points the
+    specialized four-dimensional bound is reported too.
     """
     n = point.n
     f = point.functions
@@ -664,19 +661,9 @@ def global_delta_bounds(point: SubmanifoldPoint,
     else:
         branch = "f2_neg"
         rhs = base
-        full_a = np.concatenate([a, np.zeros(2)])
-        full_b = np.concatenate([b, np.zeros(2)])
-        c_tan = _adapted_pair_rotation(point, full_a, full_b)
-        trailing = []
-        for j in range(2, n):
-            ej = c_tan[j, :n] @ e_l
-            fej = point.ambient.f_matrix @ ej
-            t_part = (point.tangent.matrix.T @ (point.tangent.matrix @ fej))
-            trailing.append(float(np.linalg.norm(t_part)))
-        diagnosis["trailing_t_norms"] = tuple(trailing)
-        diagnosis["trailing_anti_invariant_adapted_frame"] = bool(
-            max(trailing, default=0.0) <= tol.membership
-        )
+        t_max = _off_plane_t_norm(point, a, b)
+        diagnosis["trailing_t_norm_max"] = t_max
+        diagnosis["trailing_anti_invariant"] = t_max <= tol.membership
 
     slack = rhs - lhs
     bound = BoundReport(lhs=lhs, rhs=rhs, slack=slack,

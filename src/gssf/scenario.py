@@ -9,7 +9,6 @@ conventions of the underlying geometry; the Python API is 0-based.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -17,7 +16,7 @@ import math
 import numpy as np
 
 from .ambient import MAX_M, StructureFunctions, canonical_model, preset_structure_functions
-from .config import DEFAULT
+from .config import Tolerances
 from .errors import BadConfig, NonFinite, SchemaViolation
 from .generators import anti_invariant_frame, random_sff, slant_frame
 from .inequalities import delta_bound, global_delta_bounds, ricci_bound, ricci_equality_diagnosis
@@ -313,8 +312,8 @@ def _finite(value) -> bool:
 
 
 def run_checks(point: SubmanifoldPoint, checks: list[dict],
-               tol_eq: float) -> tuple[list[dict], dict]:
-    tol = dataclasses.replace(DEFAULT, equality=tol_eq)
+               tol: Tolerances) -> tuple[list[dict], dict]:
+    tol_eq = tol.equality
     n = point.n
     records: list[dict] = []
 

@@ -203,6 +203,14 @@ class SubmanifoldPoint:
         return float(np.sum(self.phi[:n, :n] ** 2))
 
     @cached_property
+    def t_form(self) -> np.ndarray:
+        """g(T e_i, T e_k) over the L-frame, so |TU|^2 = c . t_form . c for the
+        L-frame coordinates c of U; every question about |TU| over all of L
+        is an eigenvalue problem of this matrix."""
+        phi_l = self.phi[:, :self.n]
+        return phi_l.T @ phi_l
+
+    @cached_property
     def ricci_form(self) -> np.ndarray:
         """Ric(e_i, e_k) over the L-frame, so Ric(U) = c . ricci_form . c for
         the L-frame coordinates c of a unit U in L.
@@ -212,11 +220,10 @@ class SubmanifoldPoint:
         """
         n = self.n
         f = self.functions
-        phi_l = self.phi[:, :n]
         s = self.sff.coeffs
         s_l = s[:, :, :n]
         ambient = (((n + 1) * f.f1 - (f.f11 + f.f22)) * np.eye(n)
-                   + 3.0 * f.f2 * (phi_l.T @ phi_l))
+                   + 3.0 * f.f2 * self.t_form)
         gauss = (np.einsum("r,rik->ik", np.einsum("rjj->r", s), s_l[:, :n])
                  - np.einsum("rji,rjk->ik", s_l, s_l))
         return ambient + gauss
@@ -380,37 +387,29 @@ def induced_sectional(point: SubmanifoldPoint, i: int, j: int) -> float:
     return float(point.sectional_matrix[i, j])
 
 
-def slant_probe(point: SubmanifoldPoint, samples: int = 50, seed: int = 0,
-                tol: Tolerances = DEFAULT) -> SlantResult:
-    """Estimate whether the angle between f X and the tangent space is constant.
+def slant_probe(point: SubmanifoldPoint, tol: Tolerances = DEFAULT) -> SlantResult:
+    """The range of the angle between f U and the tangent space over all
+    unit U in L, and whether it is constant (a slant point).
 
-    Probes every L-frame vector plus ``samples`` seeded random unit
-    combinations in L.  Directions with ``|fX|`` below tolerance are
-    skipped; when none survive the result is indeterminate.
+    |fU| = |U| on L, so the cosine of the angle at U is
+    |TU| = sqrt(c . t_form . c) for the L-frame coordinates c of U: the
+    eigenvectors of ``t_form`` for its largest and smallest eigenvalue
+    attain the smallest and largest angle.  |TU| is taken at those
+    vectors rather than as the root of a rounded eigenvalue, which would
+    turn 1e-16 into 1e-8.  ``angle`` is the middle of the range and
+    ``spread`` half its width; the point is slant when the spread is
+    below ``tol.slant_spread``.  Without L (n = 0) the result is
+    indeterminate.
     """
     n = point.n
     if n == 0:
         return SlantResult("indeterminate", None, 0.0)
-    e_l = point.tangent.matrix[:n]
-    rng = np.random.default_rng(seed)
-    combos = rng.normal(size=(samples, n))
-    norms = np.linalg.norm(combos, axis=1)
-    mask = norms > 1e-12
-    combos = combos[mask] / norms[mask][:, None]
-    directions = np.vstack([np.eye(n), combos]) @ e_l
-
-    fdirs = directions @ point.ambient.f_matrix.T
-    f_norms = np.linalg.norm(fdirs, axis=1)
-    keep = f_norms > tol.tangency
-    if not np.any(keep):
-        return SlantResult("indeterminate", None, 0.0)
-    tparts = (fdirs[keep] @ point.tangent.matrix.T) @ point.tangent.matrix
-    cosines = np.linalg.norm(tparts, axis=1) / f_norms[keep]
-    angles = np.arccos(np.clip(cosines, 0.0, 1.0))
-    mean = float(np.mean(angles))
-    spread = float(np.max(np.abs(angles - mean)))
+    _, vecs = np.linalg.eigh(point.t_form)
+    cosines = np.linalg.norm(point.phi[:, :n] @ vecs[:, [-1, 0]], axis=0)
+    low, high = np.arccos(np.clip(cosines, 0.0, 1.0))
+    spread = float(high - low) / 2.0
     if spread < tol.slant_spread:
-        return SlantResult("slant", mean, spread)
+        return SlantResult("slant", float(low + high) / 2.0, spread)
     return SlantResult("not_slant", None, spread)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 import gssf as G
+from gssf.inequalities import _ricci_defect_terms
 
 
 def spot_point():
@@ -45,6 +46,13 @@ def sff_with(rank, t_dim, entries):
         coeffs[r, i, j] = value
         coeffs[r, j, i] = value
     return G.SecondFundamentalForm(coeffs)
+
+
+def frame_ricci_defects(point):
+    """Sum of the general Ricci defect terms at each L-frame direction,
+    from the form coefficients alone."""
+    trace_gaps, mixed = _ricci_defect_terms(point.sff.coeffs, np.eye(point.n), point.n + 2)
+    return (trace_gaps + mixed).sum(axis=0)
 
 
 def random_unit_l(point, rng):

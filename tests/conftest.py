@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import gssf as G
+from _builders import frame_ricci_defects
 
 CORPUS_SIZE = 10_000
 CONSTRAINTS = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")
@@ -59,7 +60,7 @@ def corpus() -> CorpusStats:
         ricci_min[index] = ricci.min()
         # Gauss route (the slack, through the sectional matrix) against
         # the sigma-only sum of squares
-        defect_gap[index] = np.abs(ricci - sweep.ricci_defects).max()
+        defect_gap[index] = np.abs(ricci - frame_ricci_defects(point)).max()
         if point.n > 1:
             delta_min[index] = sweep.delta_slacks.min()
 

@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from gssf import MAX_M, SchemaViolation, cli
+from gssf import DEFAULT, MAX_M, SchemaViolation, cli
 from gssf.jsonutil import dumps
-from gssf.scenario import SCENARIO_SCHEMA, validate_scenario
+from gssf.scenario import SCENARIO_SCHEMA, assemble, run_checks, validate_scenario
 
 SPOT_SCENARIO = {
     "ambient": {"m": 2},
@@ -203,6 +205,35 @@ def test_report_to_stdout(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["summary"]["fail_count"] == 0
+
+
+def test_run_checks_applies_the_whole_tolerance_record():
+    # L = two invariant pairs plus one anti-invariant vector, sigma = 0,
+    # F2 < 0: the slant angle runs over [0, pi/2] (spread pi/4), and the
+    # argmin plane is one invariant pair, so the other keeps |Tw| = 1
+    eye = [[float(i == j) for j in range(12)] for i in range(12)]
+    scenario = {
+        "ambient": {"m": 5},
+        "structure": {"values": [1.0, -1.0, 0.5, 0.2, 0.0, 0.0, 0.1]},
+        "frame": {"mode": "explicit", "vectors": eye[:5] + eye[10:]},
+        "sigma": {"coeffs": []},
+        "checks": [{"name": "invariant_report"}, {"name": "global_delta"}],
+    }
+    validate_scenario(scenario)
+    point, checks, _ = assemble(scenario)
+
+    def diagnostics(tol):
+        records, _ = run_checks(point, checks, tol)
+        return {record["name"]: record["diagnostics"] for record in records}
+
+    default = diagnostics(DEFAULT)
+    loose = diagnostics(dataclasses.replace(DEFAULT, slant_spread=1.0, membership=2.0))
+    assert default["invariant_report"]["slant_kind"] == "not_slant"
+    assert loose["invariant_report"]["slant_kind"] == "slant"
+    assert loose["invariant_report"]["slant_angle"] == pytest.approx(math.pi / 4)
+    assert default["global_delta[f2_neg]"]["trailing_t_norm_max"] == pytest.approx(1.0)
+    assert not default["global_delta[f2_neg]"]["trailing_anti_invariant"]
+    assert loose["global_delta[f2_neg]"]["trailing_anti_invariant"]
 
 
 @pytest.mark.parametrize("bad", [

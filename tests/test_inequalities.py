@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gssf as G
-from _builders import anti_invariant_point, invariant_point, random_unit_l, sff_with, spot_point
+from gssf.inequalities import _c_form_slack_form, _off_plane_t_norm
+from _builders import (anti_invariant_point, frame_ricci_defects, invariant_point, random_unit_l,
+                       sff_with, spot_point)
 
 
 # ---------------------------------------------------------------- lemma
@@ -174,6 +177,26 @@ def test_c_form_classifier_cases():
     assert not rep.all_u_equality and rep.matches
 
 
+def test_c_form_classifier_spectral_oracle():
+    # the C-family slack at U is c . Q . c: the eigenvector of the largest
+    # |eigenvalue| of Q is where ricci_bound's slack is furthest from 0
+    functions = G.preset_structure_functions("c_space_form", 1.3)
+    fixed = tuple((v, v) for v in functions.as_tuple())
+    for trial in range(40):
+        n = 2 + trial % 5
+        constraint = ("c_compatible", "minimal_and_c_compatible")[trial % 2]
+        point = G.random_instance(G.GeneratorConfig(
+            seed=1_600 + trial, n=n, m=n + trial % 2, f_ranges=fixed, constraint=constraint))
+        values, vecs = np.linalg.eigh(_c_form_slack_form(point))
+        k = int(np.argmax(np.abs(values)))
+        u = vecs[:, k] @ point.tangent.matrix[:n]
+        assert abs(G.ricci_bound(point, u, "c_form").slack - values[k]) <= 1e-12
+        # equality for every U holds exactly up to the largest |slack|
+        for factor, expected in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
+            tol = dataclasses.replace(G.DEFAULT, equality=abs(values[k]) * factor)
+            assert G.c_form_equality_classifier(point, tol).all_u_equality == expected
+
+
 # ------------------------------------------------------ plane quantities
 
 def test_plane_f_squared_cases():
@@ -278,8 +301,9 @@ def test_frame_sweep_matches_per_point_bounds(corpus):
         for k, report in enumerate(expected):
             assert sweep.label(k) == labels[k]
             assert abs(sweep.slacks[k] - report.slack) <= 1e-12, (labels[k], report)
+        defects = frame_ricci_defects(point)
         for i in range(n):
-            assert abs(sweep.ricci_defects[i] - expected[i].defect_sum()) <= 1e-12
+            assert abs(defects[i] - expected[i].defect_sum()) <= 1e-12
 
 
 def test_frame_sweep_spot():
@@ -288,7 +312,7 @@ def test_frame_sweep_spot():
     assert [sweep.label(k) for k in range(3)] == [
         "ricci_bound[general,u=1]", "ricci_bound[general,u=2]", "delta_bound[1,2]"]
     assert np.allclose(sweep.slacks, 0.0, atol=1e-12)
-    assert np.array_equal(sweep.ricci_defects, [0.0, 0.0])
+    assert np.array_equal(frame_ricci_defects(point), [0.0, 0.0])
 
 
 # ------------------------------------------------ equality shape forms
@@ -446,8 +470,60 @@ def test_global_delta_f2_negative_adapted_frame_diagnosis():
     assert report.branch == "f2_neg"
     # anti-invariant: T vanishes identically, so the trailing directions
     # of any adapted frame are anti-invariant and the bound is met exactly
-    assert report.equality_diagnosis["trailing_anti_invariant_adapted_frame"]
+    assert report.equality_diagnosis["trailing_anti_invariant"]
     assert report.bound.slack == pytest.approx(0.0, abs=1e-9)
+
+
+def _brute_t_form(point):
+    """g(T e_i, T e_k) over the L-frame from the tangential parts of f e_i."""
+    t_parts = np.array([G.tn_decompose(point, e)[0] for e in point.tangent.matrix[:point.n]])
+    return t_parts @ t_parts.T
+
+
+def test_f2_neg_diagnosis_matches_brute_force_and_ignores_the_plane_basis():
+    ranges = ((-2.0, 2.0), (-2.0, -0.1)) + ((-2.0, 2.0),) * 5  # F2 < 0
+    rng = np.random.default_rng(20)
+    for trial in range(24):
+        n = 3 + trial % 4
+        point = G.random_instance(G.GeneratorConfig(
+            seed=2_000 + trial, n=n, m=n + trial % 2, f_ranges=ranges))
+        report = G.global_delta_bounds(point)
+        assert report.branch == "f2_neg"
+        diag = report.equality_diagnosis
+        a, b = (point.l_coords(v)[:n] for v in report.argmin_plane)
+
+        off_plane = np.eye(n) - np.outer(a, a) - np.outer(b, b)
+        _, vecs = np.linalg.eigh(off_plane @ _brute_t_form(point) @ off_plane)
+        tw, _ = G.tn_decompose(point, vecs[:, -1] @ point.tangent.matrix[:n])
+        assert abs(diag["trailing_t_norm_max"] - np.linalg.norm(tw)) <= 1e-12
+        assert diag["trailing_anti_invariant"] == (
+            diag["trailing_t_norm_max"] <= G.DEFAULT.membership)
+
+        for angle in rng.uniform(0.0, 2.0 * math.pi, 3):
+            c, s = math.cos(angle), math.sin(angle)
+            rotated = _off_plane_t_norm(point, c * a + s * b, c * b - s * a)
+            assert abs(rotated - diag["trailing_t_norm_max"]) <= 1e-12
+
+
+def test_f2_neg_diagnosis_is_exact_on_rotated_equality_frames():
+    # invariant pairs plus anti-invariant vectors, mixed by a rotation of
+    # L, with sigma = 0 and F2 < 0: the argmin plane is an invariant pair
+    # and, with one pair, its complement is anti-invariant.  The root of a
+    # rounded eigenvalue would put |Tw| near 1e-8, at the membership
+    # tolerance; |Tw| itself is rounding small.
+    rng = np.random.default_rng(21)
+    for n in (3, 4, 5, 6):
+        ambient = G.canonical_model(n + 1)
+        eye = np.eye(ambient.dim)
+        rows = [eye[0], eye[1]] + [eye[2 * k] for k in range(1, n - 1)]
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        raw = list(q @ np.array(rows)) + [ambient.xi[0], ambient.xi[1]]
+        functions = G.StructureFunctions(0.3, -1.5, 0.2, 0.1, 0.0, 0.0, 0.1)
+        point = G.attach_point(ambient, functions, raw,
+                               G.SecondFundamentalForm.zeros(ambient.dim - n - 2, n + 2))
+        diag = G.global_delta_bounds(point).equality_diagnosis
+        assert diag["trailing_anti_invariant"]
+        assert diag["trailing_t_norm_max"] <= 1e-13
 
 
 def test_global_delta_invariant_even_n_equality():

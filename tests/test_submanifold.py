@@ -304,6 +304,63 @@ def test_slant_probe_mixed_frame_is_not_slant():
     assert G.slant_probe(point).kind == "not_slant"
 
 
+def _brute_angle(point, c):
+    """Angle between fU and the tangent space at U = c . L-frame, from the
+    tangential/normal split of fU."""
+    tu, nu = G.tn_decompose(point, c @ point.tangent.matrix[:point.n])
+    return math.acos(min(1.0, np.linalg.norm(tu) / np.linalg.norm(tu + nu)))
+
+
+def _slant_oracle_points():
+    """Slant points (slant frames, n even; anti-invariant frames, n odd),
+    their L-parts mixed by a random rotation so no frame vector is
+    special, and generic not-slant points, n = 2..6."""
+    rng = np.random.default_rng(606)
+    functions = G.StructureFunctions(1, 0, 0, 0, 0, 0, 0)
+    for n in range(2, 7):
+        for extra in (0, 1):
+            ambient = G.canonical_model(n + extra)
+            if n % 2:
+                raw = G.anti_invariant_frame(ambient, n)
+                theta = math.pi / 2
+            else:
+                # arccos amplifies rounding by 1/sin(theta), so theta stays
+                # away from 0 for a 1e-12 comparison of angles
+                theta = float(rng.uniform(0.2, math.pi / 2))
+                raw = G.slant_frame(ambient, n, theta)
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            l_part = q @ np.array(raw[:n])
+            rank = ambient.dim - (n + 2)
+            point = G.attach_point(ambient, functions, list(l_part) + raw[n:],
+                                   G.SecondFundamentalForm.zeros(rank, n + 2))
+            yield point, theta
+        for seed in range(4):
+            yield G.random_instance(G.GeneratorConfig(seed=6_060 + 10 * n + seed,
+                                                      n=n, m=n + 1)), None
+
+
+def test_slant_probe_range_matches_brute_force_angles():
+    rng = np.random.default_rng(607)
+    kinds = set()
+    for point, theta in _slant_oracle_points():
+        probe = G.slant_probe(point)
+        kinds.add(probe.kind)
+        _, vecs = np.linalg.eigh(point.t_form)
+        low = _brute_angle(point, vecs[:, -1])
+        high = _brute_angle(point, vecs[:, 0])
+        assert abs(probe.spread - (high - low) / 2) <= 1e-12
+        if theta is not None:
+            assert probe.is_slant and abs(probe.angle - theta) <= 1e-12
+        if probe.is_slant:
+            assert abs(probe.angle - probe.spread - low) <= 1e-12
+            assert abs(probe.angle + probe.spread - high) <= 1e-12
+        for _ in range(50):
+            c = rng.normal(size=point.n)
+            angle = _brute_angle(point, c / np.linalg.norm(c))
+            assert low - 1e-12 <= angle <= high + 1e-12
+    assert kinds == {"slant", "not_slant"}
+
+
 def test_slant_probe_indeterminate_without_l():
     ambient = G.canonical_model(1)
     functions = G.StructureFunctions(1, 0, 0, 0, 0, 0, 0)
