@@ -10,12 +10,10 @@ from .ambient import (
     MAX_M,
     AmbientModel,
     StructureFunctions,
-    StructureViolation,
     ambient_curvature,
     canonical_model,
     frame_sectional,
     preset_structure_functions,
-    validate_f_structure,
 )
 from .config import DEFAULT, Tolerances
 from .errors import (
@@ -52,7 +50,6 @@ from .inequalities import (
     ChenLemmaReport,
     FrameSweep,
     GlobalDeltaReport,
-    PlaneSearchOptions,
     RicciEqualityDiagnosis,
     ShapeMatchResult,
     ShapeOperatorForm,

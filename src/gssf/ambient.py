@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import BadConfig, BadDimension
-from .frames import Vec, as_vec
+from .frames import as_vec
 
 #: largest m of a model; it bounds the (2m + 2)^2 arrays built per model
 MAX_M = 256
@@ -91,21 +90,15 @@ class AmbientModel:
     def dim(self) -> int:
         return self.f_matrix.shape[0]
 
-    def f(self, x) -> Vec:
-        return self.f_matrix @ as_vec(x, dim=self.dim)
-
-    def eta(self, x) -> np.ndarray:
-        """Both dual-form values (eta_1(x), eta_2(x))."""
-        return self.xi @ as_vec(x, dim=self.dim)
-
 
 @functools.lru_cache(maxsize=64)
 def canonical_model(m: int) -> AmbientModel:
     """Coordinate model (x_1, y_1, ..., x_m, y_m, z_1, z_2).
 
     f sends dx_i -> dy_i, dy_i -> -dx_i and annihilates dz_1, dz_2;
-    the structure vectors are xi_alpha = dz_alpha.  Models are immutable,
-    so instances are cached and shared.
+    the structure vectors are xi_alpha = dz_alpha.  Every entry is 0 or
+    +-1, so the f-structure axioms hold exactly, with no rounding.
+    Models are immutable, so instances are cached and shared.
     """
     if not 1 <= m <= MAX_M:
         raise BadDimension(f"m must be an integer in 1..{MAX_M}, got {m}")
@@ -118,42 +111,6 @@ def canonical_model(m: int) -> AmbientModel:
     xi[0, 2 * m] = 1.0
     xi[1, 2 * m + 1] = 1.0
     return AmbientModel(m=m, f_matrix=f, xi=xi)
-
-
-@dataclass(frozen=True)
-class StructureViolation:
-    check: str
-    magnitude: float
-
-
-def validate_f_structure(model: AmbientModel, tol: Tolerances = DEFAULT) -> list[StructureViolation]:
-    """Diagnostics for the metric f-structure axioms.
-
-    Returns an empty list when the model satisfies every axiom within
-    tolerance; otherwise one entry per violated axiom with its magnitude.
-    """
-    f = model.f_matrix
-    dim = model.dim
-    out: list[StructureViolation] = []
-
-    def check(name: str, magnitude: float):
-        if magnitude > tol.orthonormality:
-            out.append(StructureViolation(name, float(magnitude)))
-
-    check("f_cubed_plus_f", np.max(np.abs(f @ f @ f + f)))
-
-    singulars = np.linalg.svd(f, compute_uv=False)
-    scale = singulars[0] if singulars.size and singulars[0] > 0 else 1.0
-    rank = int(np.sum(singulars > 1e-10 * scale))
-    check("f_rank", float(abs(rank - 2 * model.m)))
-
-    check("f_annihilates_xi", np.max(np.abs(model.xi @ f.T)))
-    check("eta_annihilates_f", np.max(np.abs(model.xi @ f)))
-
-    eta_outer = model.xi.T @ model.xi  # sum_alpha xi_alpha xi_alpha^T
-    check("f_squared", np.max(np.abs(f @ f + np.eye(dim) - eta_outer)))
-    check("metric_compatibility", np.max(np.abs(f.T @ f + eta_outer - np.eye(dim))))
-    return out
 
 
 _PRESETS = ("s_space_form", "c_space_form", "real_space_form")

@@ -18,13 +18,13 @@ import sys
 
 import numpy as np
 
-from .ambient import MAX_M, canonical_model, validate_f_structure
+from .ambient import MAX_M, canonical_model, preset_structure_functions
 from .config import DEFAULT
 from .errors import BadConfig, GssfError, UsageError
 from .generators import GeneratorConfig, random_instance
-from .inequalities import frame_sweep
+from .inequalities import ShapeOperatorForm, equality_instance, equality_pattern, frame_sweep
 from .jsonutil import dumps
-from .scenario import assemble, build_report, load_scenario, run_checks, validate_scenario
+from .scenario import assemble, build_report, load_scenario, run_checks
 from .submanifold import scalar_identity_check
 
 _CONSTRAINT_CHOICES = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")
@@ -174,27 +174,19 @@ def _parse_pairs(text: str) -> list[tuple[float, float]]:
 
 def _cmd_construct(args) -> int:
     a, b, c = _parse_form(args.form)
-    pairs = _parse_pairs(args.pairs)
+    form = ShapeOperatorForm(a, b, c, tuple(_parse_pairs(args.pairs)))
     n, m = args.n, args.m
-    if n < 2:
-        return _input_error("BadShape", "the equality plane needs n >= 2")
-    if m < n:
-        return _input_error("BadShape", "the anti-invariant frame needs m >= n")
-    rank = 2 * m - n
-    if rank < 1 + len(pairs):
-        return _input_error(
-            "BadShape",
-            f"need normal rank >= {1 + len(pairs)}, model provides {rank}",
-        )
-
-    coeffs = [[1, 1, 1, a], [1, 1, 2, b], [1, 2, 2, c - a]]
-    coeffs += [[1, i, i, c] for i in range(3, n + 3)]
-    for p, (ar, br) in enumerate(pairs, start=2):
-        coeffs += [[p, 1, 1, ar], [p, 1, 2, br], [p, 2, 2, -ar]]
-
+    structure = {"preset": "s_space_form", "c": 2.0}
+    # building the point runs every check on n, m, the normal rank and
+    # the coefficients (finite: c - a can overflow)
+    equality_instance(canonical_model(m),
+                      preset_structure_functions(structure["preset"], structure["c"]),
+                      n, form)
+    coeffs = [[r + 1, i + 1, j + 1, value]
+              for r, i, j, value in equality_pattern(n, form)]
     scenario = {
         "ambient": {"m": m},
-        "structure": {"preset": "s_space_form", "c": 2.0},
+        "structure": structure,
         "frame": {"mode": "anti_invariant", "n": n},
         "sigma": {"coeffs": coeffs},
         "checks": [
@@ -202,26 +194,8 @@ def _cmd_construct(args) -> int:
             {"name": "scalar_identity"},
         ],
     }
-    validate_scenario(scenario)
-    assemble(scenario)  # fail fast on anything the schema cannot see
     _emit(dumps(scenario), args.out)
     return 0
-
-
-def _cmd_validate(args) -> int:
-    data = load_scenario(args.scenario)
-    model = canonical_model(data["ambient"]["m"])
-    violations = validate_f_structure(model)
-    report = {
-        "tool": "gssf",
-        "command": "validate",
-        "m": model.m,
-        "violations": [
-            {"check": v.check, "magnitude": v.magnitude} for v in violations
-        ],
-    }
-    _emit(dumps(report), args.out)
-    return 0 if not violations else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,11 +238,6 @@ def _parser() -> argparse.ArgumentParser:
     con.add_argument("--m", type=int, required=True)
     con.add_argument("--out", default=None)
     con.set_defaults(func=_cmd_construct)
-
-    val = sub.add_parser("validate", help="check the ambient structure axioms")
-    val.add_argument("scenario")
-    val.add_argument("--out", default=None)
-    val.set_defaults(func=_cmd_validate)
     return parser
 
 

@@ -36,6 +36,8 @@ class GeneratorConfig:
     constraint: str = "none"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise BadConfig("seed must be at least 0")
         if self.n < 1:
             raise BadConfig("n must be at least 1")
         if not 1 <= self.m <= MAX_M:

@@ -11,6 +11,7 @@ statement about genuine immersions, is not a formal-data theorem.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .errors import (
     VariantPreconditionViolated,
 )
 from .frames import Vec, as_vec, complete_basis
+from .generators import anti_invariant_frame
 from .submanifold import (
     PointFlags,
     SecondFundamentalForm,
@@ -101,14 +103,6 @@ class CFormEqualityReport:
 class ShapeMatchResult:
     matches_forms: bool
     recovered: ShapeOperatorForm
-
-
-@dataclass(frozen=True)
-class PlaneSearchOptions:
-    random_starts: int = 20
-    improvement_tol: float = 1e-10
-    max_rounds: int = 10_000
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -377,7 +371,10 @@ def c_form_equality_classifier(point: SubmanifoldPoint,
     Equality for every unit U in L characterizes totally f-umbilical
     points when n = 2 and totally geodesic points when n > 2.  The slack
     at U is a quadratic form in U, so it vanishes for every U exactly
-    when the form's spectral norm is within ``tol.equality``.
+    when the form's spectral norm is within ``tol.equality``.  That slack
+    is quadratic in sigma while the shape class tests sigma's entries,
+    so the class is taken with tolerance sqrt(``tol.equality``): both
+    sides then compare squares of sigma with ``tol.equality``.
     """
     n = point.n
     if n < 2:
@@ -386,7 +383,8 @@ def c_form_equality_classifier(point: SubmanifoldPoint,
 
     all_eq = bool(np.linalg.norm(_c_form_slack_form(point), 2) <= tol.equality)
     expected = "totally_f_umbilical" if n == 2 else "totally_geodesic"
-    has_class = getattr(classify_sff(point, tol), expected)
+    linear = dataclasses.replace(tol, equality=math.sqrt(tol.equality))
+    has_class = getattr(classify_sff(point, linear), expected)
     return CFormEqualityReport(
         all_u_equality=all_eq, expected_class=expected, matches=(has_class == all_eq)
     )
@@ -552,14 +550,21 @@ def _update_block(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
     return new
 
 
-def minimize_sectional_plane(point: SubmanifoldPoint,
-                             options: PlaneSearchOptions = PlaneSearchOptions()):
+#: the plane search: seeded random starts beside the L-frame pairs, the
+#: least gain in K per round that keeps a start going, and the round cap
+_RANDOM_STARTS = 20
+_SEARCH_SEED = 0
+_IMPROVEMENT_TOL = 1e-10
+_MAX_ROUNDS = 10_000
+
+
+def minimize_sectional_plane(point: SubmanifoldPoint):
     """Best-effort infimum of induced K over 2-planes inside L.
 
     Multi-start alternating minimization: starts at every L-frame pair
     plus seeded random pairs, and repeatedly replaces one plane vector
     by the exact minimizer in the other's orthogonal complement until a
-    full round improves less than ``options.improvement_tol``.  Returns
+    full round improves less than ``_IMPROVEMENT_TOL``.  Returns
     (value, a, b) with the plane in L-frame coordinates.  The value is K
     of an actual plane, so it is an upper bound for the true infimum: it
     can refute a bound on tau - inf K, but a bound that holds at it is
@@ -585,8 +590,8 @@ def minimize_sectional_plane(point: SubmanifoldPoint,
         for j in range(i + 1, n):
             starts_a.append(eye[i])
             starts_b.append(eye[j])
-    rng = np.random.default_rng(options.seed)
-    for _ in range(options.random_starts):
+    rng = np.random.default_rng(_SEARCH_SEED)
+    for _ in range(_RANDOM_STARTS):
         q, _ = np.linalg.qr(rng.normal(size=(n, 2)))
         starts_a.append(q[:, 0])
         starts_b.append(q[:, 1])
@@ -596,7 +601,7 @@ def minimize_sectional_plane(point: SubmanifoldPoint,
     values = _plane_curvature_batch(f, phi_l, s_l, a, b)
     active = np.ones(len(values), dtype=bool)
     rounds = 0
-    while active.any() and rounds < options.max_rounds:
+    while active.any() and rounds < _MAX_ROUNDS:
         rounds += 1
         idx = np.flatnonzero(active)
         a_act = _update_block(f, phi_l, s_l, b[idx])
@@ -605,7 +610,7 @@ def minimize_sectional_plane(point: SubmanifoldPoint,
         improvement = values[idx] - new_values
         a[idx], b[idx] = a_act, b_act
         values[idx] = new_values
-        active[idx] = improvement > options.improvement_tol
+        active[idx] = improvement > _IMPROVEMENT_TOL
     best = int(np.argmin(values))
     if active[best]:
         raise SearchDidNotConverge(
@@ -632,7 +637,6 @@ def _off_plane_t_norm(point: SubmanifoldPoint, a: np.ndarray, b: np.ndarray) -> 
 
 
 def global_delta_bounds(point: SubmanifoldPoint,
-                        options: PlaneSearchOptions = PlaneSearchOptions(),
                         tol: Tolerances = DEFAULT) -> GlobalDeltaReport:
     """Bounds for tau - inf K over planes in L, split by the sign of F2.
 
@@ -645,7 +649,7 @@ def global_delta_bounds(point: SubmanifoldPoint,
     """
     n = point.n
     f = point.functions
-    inf_k, a, b = minimize_sectional_plane(point, options)
+    inf_k, a, b = minimize_sectional_plane(point)
     e_l = point.tangent.matrix[:n]
     argmin = (a @ e_l, b @ e_l)
     lhs = point.tau - inf_k
@@ -673,20 +677,16 @@ def global_delta_bounds(point: SubmanifoldPoint,
     if n == 2:
         slant = slant_probe(point, tol=tol)
         if slant.is_slant:
-            rhs4 = (
-                n * (n + 2) ** 2 / (2.0 * (n + 1)) * point.h_norm_sq
-                + 5.0 * f.f1
-                - 3.0 * (f.f11 + f.f22)
-                + f.f3
-            )
-            slack4 = rhs4 - lhs
+            # at n = 2 the corollary's right side is ``base``, the plane
+            # bound's before its F2 term: |H|^2 part + 5 F1 + F3 - 3 (F11 + F22)
+            slack4 = base - lhs
             defects = None
             if point.flags.c_compatible:
                 defects = (
                     ("mean_curvature_term",
                      n * (n + 2) ** 2 / (2.0 * (n + 1)) * point.h_norm_sq),
                 )
-            four_dim = BoundReport(lhs=lhs, rhs=rhs4, slack=slack4,
+            four_dim = BoundReport(lhs=lhs, rhs=base, slack=slack4,
                                    equality=slack4 <= tol.equality,
                                    defect_terms=defects)
 
@@ -695,43 +695,41 @@ def global_delta_bounds(point: SubmanifoldPoint,
                              four_dim_slant=four_dim)
 
 
+def equality_pattern(n: int, form: ShapeOperatorForm) -> list[tuple[int, int, int, float]]:
+    """The upper-triangle entries (r, i, j, value), 0-based, of the
+    equality-case form coefficients on n + 2 tangent directions.
+
+    The order is fixed, since ``gssf construct`` writes the entries as
+    they come, zeros included: the first normal's block, its trailing
+    diagonal, then each further normal's traceless block.
+    """
+    a, b, c = form.a, form.b, form.c
+    entries = [(0, 0, 0, a), (0, 0, 1, b), (0, 1, 1, c - a)]
+    entries += [(0, i, i, c) for i in range(2, n + 2)]
+    for r, (ar, br) in enumerate(form.pairs, start=1):
+        entries += [(r, 0, 0, ar), (r, 0, 1, br), (r, 1, 1, -ar)]
+    return entries
+
+
 def equality_instance(ambient: AmbientModel, functions: StructureFunctions,
-                      n: int, form: ShapeOperatorForm,
-                      frame_spec=None) -> SubmanifoldPoint:
+                      n: int, form: ShapeOperatorForm) -> SubmanifoldPoint:
     """Build a point whose form coefficients follow the equality patterns.
 
     The resulting point attains equality in the scalar-vs-plane bound at
     the plane of its first two frame vectors, for any structure-function
-    values.  ``frame_spec`` may supply raw tangent vectors (structure
-    vectors in the span); the default is the anti-invariant coordinate
-    frame, which needs m >= n.
+    values.  The frame is the anti-invariant coordinate frame, which
+    needs m >= n.
     """
     if n < 2:
         raise BadShape("the equality patterns single out a plane, so n >= 2")
-    if frame_spec is None:
-        if ambient.m < n:
-            raise BadShape("the default frame needs m >= n")
-        frame_spec = [np.eye(ambient.dim)[2 * k] for k in range(n)] \
-            + [ambient.xi[0], ambient.xi[1]]
-    frame_spec = [as_vec(v, dim=ambient.dim) for v in frame_spec]
-    if len(frame_spec) - 2 != n:
-        raise BadShape(f"frame spec yields n = {len(frame_spec) - 2}, expected {n}")
-
+    frame = anti_invariant_frame(ambient, n)
     rank = ambient.dim - (n + 2)
     if rank < 1 + len(form.pairs):
         raise BadShape(
             f"need normal rank >= {1 + len(form.pairs)}, model provides {rank}"
         )
-    t = n + 2
-    coeffs = np.zeros((rank, t, t))
-    coeffs[0, 0, 0] = form.a
-    coeffs[0, 0, 1] = coeffs[0, 1, 0] = form.b
-    coeffs[0, 1, 1] = form.c - form.a
-    for i in range(2, t):
-        coeffs[0, i, i] = form.c
-    for p, (ar, br) in enumerate(form.pairs, start=1):
-        coeffs[p, 0, 0] = ar
-        coeffs[p, 0, 1] = coeffs[p, 1, 0] = br
-        coeffs[p, 1, 1] = -ar
-    return attach_point(ambient, functions, frame_spec,
+    coeffs = np.zeros((rank, n + 2, n + 2))
+    for r, i, j, value in equality_pattern(n, form):
+        coeffs[r, i, j] = coeffs[r, j, i] = value
+    return attach_point(ambient, functions, frame,
                         SecondFundamentalForm(coeffs), PointFlags())

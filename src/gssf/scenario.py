@@ -41,8 +41,7 @@ _CHECK = {
         "name": {
             "enum": [
                 "scalar_identity", "invariant_report", "ricci_bound",
-                "ricci_equality", "delta_bound", "global_delta",
-                "classify", "validate_ambient",
+                "ricci_equality", "delta_bound", "global_delta", "classify",
             ]
         },
         "variant": {"enum": ["general", "s_form", "c_form"]},
@@ -398,16 +397,6 @@ def run_checks(point: SubmanifoldPoint, checks: list[dict],
         elif name == "classify":
             produced.append(_record(
                 name, diagnostics=dict(classify_sff(point, tol).as_dict()),
-            ))
-        elif name == "validate_ambient":
-            from .ambient import validate_f_structure
-
-            violations = validate_f_structure(point.ambient, tol)
-            produced.append(_record(
-                name, passed=not violations,
-                diagnostics={"violations": [
-                    {"check": v.check, "magnitude": v.magnitude} for v in violations
-                ]},
             ))
         else:  # unreachable under the schema
             raise BadConfig(f"unknown check {name!r}")

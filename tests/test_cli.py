@@ -10,12 +10,14 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from gssf import DEFAULT, MAX_M, SchemaViolation, cli
+from gssf import (DEFAULT, MAX_M, SchemaViolation, ShapeOperatorForm, canonical_model, cli,
+                  equality_instance, preset_structure_functions)
 from gssf.jsonutil import dumps
 from gssf.scenario import SCENARIO_SCHEMA, assemble, run_checks, validate_scenario
 
@@ -32,7 +34,6 @@ SPOT_SCENARIO = {
         {"name": "global_delta"},
         {"name": "invariant_report", "expect": {"t_norm_sq": 2.0}},
         {"name": "classify", "expect": {"minimal": True}},
-        {"name": "validate_ambient"},
     ],
 }
 
@@ -146,6 +147,13 @@ def test_fuzz_bad_range_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("seed", ["-5", "-1"])
+def test_fuzz_negative_seed_exits_2(seed):
+    code, out, err = run_main("fuzz", "--seed", seed, "--count", "2")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "BadConfig", "detail": "seed must be at least 0"}
+
+
 def test_construct_round_trip(tmp_path):
     out = str(tmp_path / "eq.json")
     proc = run_cli("construct", "--form", "1,0.5,2", "--pairs", "0.3,-0.2",
@@ -191,12 +199,31 @@ def test_construct_bad_numbers_exit_2(tmp_path, form, pairs):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_validate(tmp_path):
-    path = write_scenario(tmp_path, SPOT_SCENARIO)
-    out = str(tmp_path / "v.json")
-    proc = run_cli("validate", path, "--out", out)
-    assert proc.returncode == 0
-    assert json.loads(open(out).read())["violations"] == []
+# sha256 of `gssf construct --form F --pairs P --n 3 --m 4` on stdout
+CONSTRUCT_GOLDEN = {
+    ("1,0,0", ""): "7756f52d88c5e4d47bd78c8ac18aabe89f65962bcb8e7496762b369f1f7c8f15",
+    ("0,0,0", ""): "928d16d6c153a207748b967e6c3f47f82d5dd7692297b4ea6a598da342483cdf",
+    ("2,-1,3", "0.3,-0.2;0,0.5"):
+        "2392c0480d69545cbefa42a71fc473d4f6117c8ab747fe2da090d9e04f20f4dd",
+}
+
+
+@pytest.mark.parametrize("form, pairs", sorted(CONSTRUCT_GOLDEN))
+def test_construct_matches_equality_instance(form, pairs):
+    code, out, err = run_main("construct", "--form", form, "--pairs", pairs,
+                              "--n", "3", "--m", "4")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTRUCT_GOLDEN[form, pairs]
+    scenario = json.loads(out)
+    validate_scenario(scenario)
+    point, _, _ = assemble(scenario)
+    a, b, c = (float(v) for v in form.split(","))
+    pair_values = tuple(tuple(float(v) for v in chunk.split(","))
+                        for chunk in pairs.split(";") if chunk)
+    reference = equality_instance(canonical_model(4),
+                                  preset_structure_functions("s_space_form", 2.0), 3,
+                                  ShapeOperatorForm(a, b, c, pair_values))
+    assert np.array_equal(point.sff.coeffs, reference.sff.coeffs)
 
 
 def test_report_to_stdout(tmp_path):
@@ -368,10 +395,9 @@ def _no_model(m):
     raise AssertionError(f"a model was built for m = {m}")
 
 
-@pytest.mark.parametrize("command", ["report", "validate"])
+@pytest.mark.parametrize("command", ["report"])
 def test_scenario_m_beyond_the_cap_is_schema_violation(tmp_path, monkeypatch, command):
     monkeypatch.setattr("gssf.scenario.canonical_model", _no_model)
-    monkeypatch.setattr("gssf.cli.canonical_model", _no_model)
     path = write_scenario(tmp_path, _with(["ambient", "m"], 10**9))
     code, out, err = run_main(command, path)
     assert (code, out, json.loads(err)["error"]) == (2, "", "SchemaViolation")
@@ -406,6 +432,7 @@ def test_scenario_schema_is_valid():
     _with(["checks"], [{"name": "ricci_bound", "u": 0}]),   # bad u
     _with(["checks"], [{"name": "ricci_bound", "u": "some"}]),
     _with(["sigma"], {"constraint": "none", "seed": -1}),   # negative seed
+    _with(["checks"], [{"name": "validate_ambient"}]),      # removed check kind
 ])
 def test_schema_violation_detail_matches_jsonschema(tmp_path, scenario):
     with pytest.raises(jsonschema.ValidationError) as raised:
@@ -433,6 +460,7 @@ def test_float_in_integer_field_is_schema_violation(tmp_path, path, value):
     ["construct", "--form", "1,0,0"],
     ["frobnicate"],
     [],
+    ["validate", "scenario.json"],  # removed: the canonical model cannot fail it
 ])
 def test_usage_errors_exit_2_with_one_json_line(argv):
     code, out, err = run_main(*argv)

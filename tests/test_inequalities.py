@@ -197,6 +197,20 @@ def test_c_form_classifier_spectral_oracle():
             assert G.c_form_equality_classifier(point, tol).all_u_equality == expected
 
 
+def test_c_form_classifier_compares_sigma_on_one_scale():
+    # at sigma scale 1e-6 the slack, quadratic in sigma, is ~1e-12: within
+    # tol.equality for every U, and so is |sigma|^2, so the shape class holds
+    functions = G.preset_structure_functions("c_space_form", 1.3)
+    fixed = tuple((v, v) for v in functions.as_tuple())
+    for trial in range(150):
+        n = 2 + trial % 5
+        point = G.random_instance(G.GeneratorConfig(
+            seed=trial, n=n, m=n + trial % 2, sigma_scale=1e-6, f_ranges=fixed,
+            constraint="c_compatible"))
+        rep = G.c_form_equality_classifier(point)
+        assert rep.all_u_equality and rep.matches, (trial, rep)
+
+
 # ------------------------------------------------------ plane quantities
 
 def test_plane_f_squared_cases():
@@ -545,12 +559,12 @@ def test_global_delta_needs_planes():
         G.global_delta_bounds(point)
 
 
-def test_search_round_cap_raises():
+def test_search_round_cap_raises(monkeypatch):
     cfg = G.GeneratorConfig(seed=9, n=4, m=4, constraint="none")
     point = G.random_instance(cfg)
-    options = G.PlaneSearchOptions(max_rounds=0)
+    monkeypatch.setattr("gssf.inequalities._MAX_ROUNDS", 0)
     with pytest.raises(G.SearchDidNotConverge) as info:
-        G.minimize_sectional_plane(point, options)
+        G.minimize_sectional_plane(point)
     assert info.value.best_value is not None
     assert info.value.best_pair is not None
 
