@@ -100,6 +100,8 @@ def random_sff(rng: np.random.Generator, normal_rank: int, tangent_dim: int,
     zeroes all rows and columns touching the structure directions (and
     the trace removal then stays inside the L block).
     """
+    if not math.isfinite(2.0 * scale):  # the width of the uniform draws
+        raise BadConfig(f"sigma scale {scale!r} is too large: 2 * scale overflows")
     raw = rng.uniform(-scale, scale, size=(normal_rank, tangent_dim, tangent_dim))
     coeffs = 0.5 * (raw + raw.transpose(0, 2, 1))
     c_compat = "c_compatible" in constraint

@@ -407,10 +407,9 @@ def plane_f_squared(point: SubmanifoldPoint, x, y, tol: Tolerances = DEFAULT) ->
     Lies in [0, 1] and is independent of the orthonormal basis chosen
     for the plane.
     """
-    _orthonormal_l_pair(point, x, y, tol)
-    vx = as_vec(x, dim=point.ambient.dim)
-    vy = as_vec(y, dim=point.ambient.dim)
-    return float((vx @ point.ambient.f_matrix @ vy) ** 2)
+    a, b = _orthonormal_l_pair(point, x, y, tol)
+    w = float(a @ point.phi @ b)
+    return w * w
 
 
 def delta_bound(point: SubmanifoldPoint, x, y, slant_mode: bool = False,
@@ -423,16 +422,9 @@ def delta_bound(point: SubmanifoldPoint, x, y, slant_mode: bool = False,
     n = point.n
     f = point.functions
     a, b = _orthonormal_l_pair(point, x, y, tol)
-    # Both vectors lie in L, so the structure terms of the model
-    # curvature vanish and K(pi) reduces to F1 + 3 F2 g(X, fY)^2 plus
-    # the Gauss contribution of the form coefficients.
     w = float(a @ point.phi @ b)
     f_sq = w * w
-    s = point.sff.coeffs
-    sa = np.einsum("rij,j->ri", s, a)
-    sb = np.einsum("rij,j->ri", s, b)
-    gauss = float((sa @ a) @ (sb @ b) - (sa @ b) @ (sb @ a))
-    k_plane = f.f1 + 3.0 * f.f2 * f_sq + gauss
+    k_plane = float(_plane_k(f, point.phi, point.sff.coeffs, a[None, :], b[None, :])[0])
     lhs = point.tau - k_plane
 
     if slant_mode:
@@ -470,7 +462,7 @@ def delta_equality_shape_check(point: SubmanifoldPoint, x, y,
     if rank == 0:
         return ShapeMatchResult(True, ShapeOperatorForm(0.0, 0.0, 0.0, ()))
 
-    h = np.einsum("rii->r", sigma) / (point.n + 2)
+    h = np.einsum("rii->r", sigma) / (n + 2)
     h_norm = float(np.linalg.norm(h))
     if h_norm > tol.equality:
         first = h / h_norm
@@ -478,84 +470,72 @@ def delta_equality_shape_check(point: SubmanifoldPoint, x, y,
         q = np.vstack([first[None, :], rest]) if rank > 1 else first[None, :]
         sigma = np.einsum("qr,rab->qab", q, sigma)
 
-    a0 = float(sigma[0, 0, 0])
-    b0 = float(sigma[0, 0, 1])
-    c0 = float(sigma[0, 0, 0] + sigma[0, 1, 1])
-
-    residual = 0.0
-    lead = sigma[0]
-    residual = max(residual, float(np.max(np.abs(lead[:2, 2:]), initial=0.0)))
-    trailing = lead[2:, 2:] - c0 * np.eye(point.n)
-    residual = max(residual, float(np.max(np.abs(trailing), initial=0.0)))
-    pairs = []
-    for r in range(1, rank):
-        block = sigma[r]
-        residual = max(residual, abs(float(block[0, 0] + block[1, 1])))
-        residual = max(residual, float(np.max(np.abs(block[:2, 2:]), initial=0.0)))
-        residual = max(residual, float(np.max(np.abs(block[2:, 2:]), initial=0.0)))
-        pairs.append((float(block[0, 0]), float(block[0, 1])))
-
-    return ShapeMatchResult(
-        matches_forms=residual <= tol.shape_match,
-        recovered=ShapeOperatorForm(a0, b0, c0, tuple(pairs)),
-    )
+    pairs = tuple((float(block[0, 0]), float(block[0, 1])) for block in sigma[1:])
+    form = ShapeOperatorForm(float(sigma[0, 0, 0]), float(sigma[0, 0, 1]),
+                             float(sigma[0, 0, 0] + sigma[0, 1, 1]), pairs)
+    residual = float(np.max(np.abs(sigma - _pattern_coeffs(rank, n, form))))
+    return ShapeMatchResult(matches_forms=residual <= tol.shape_match, recovered=form)
 
 
-def _plane_curvature_batch(f: StructureFunctions, phi_l: np.ndarray,
-                           s_l: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """K of planes spanned by orthonormal coordinate pairs, batched."""
-    w = np.sum(a * (b @ phi_l.T), axis=1)
-    sa = np.tensordot(a, s_l, axes=([1], [2]))  # (starts, normals, n)
-    sb = np.tensordot(b, s_l, axes=([1], [2]))
-    saa = np.matmul(sa, a[:, :, None])[:, :, 0]
-    sbb = np.matmul(sb, b[:, :, None])[:, :, 0]
-    sab = np.matmul(sa, b[:, :, None])[:, :, 0]
-    gauss = np.sum(saa * sbb - sab ** 2, axis=1)
-    return f.f1 + 3.0 * f.f2 * w ** 2 + gauss
-
-
-def _update_block(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
-                  fixed: np.ndarray) -> np.ndarray:
-    """Exact minimizers over unit vectors orthogonal to each fixed vector.
-
-    Minimizes K(x, fixed_s) over unit x with x . fixed_s = 0; each update
-    is a rotation of the free plane vector inside the orthogonal
-    complement, the block form of a coordinate-descent sweep.
+def _plane_form(f2: float, phi: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The plane-curvature form M(y) of each coordinate row y, batched:
+    K(x ^ y) = F1 + x . M(y) . x for orthonormal x, y in L, with
+    M(y) = 3 F2 (phi y)(phi y)^T + sum_r sigma_r(y, y) sigma_r - (sigma_r y)(sigma_r y)^T.
+    M(y) y = 0, since phi is antisymmetric.
     """
-    v = fixed @ phi_l.T
-    sf = np.tensordot(fixed, s_l, axes=([1], [2]))  # (starts, normals, n)
-    sff_val = np.matmul(sf, fixed[:, :, None])[:, :, 0]
-    m = (3.0 * f.f2) * (v[:, :, None] * v[:, None, :])
-    if s_l.shape[0]:
-        m += np.tensordot(sff_val, s_l, axes=([1], [0]))
-        m -= np.matmul(sf.transpose(0, 2, 1), sf)
+    v = y @ phi.T  # phi y
+    sy = np.tensordot(y, s, axes=([1], [2]))  # (rows, normals, n): sigma_r y
+    m = (3.0 * f2) * (v[:, :, None] * v[:, None, :])
+    if s.shape[0]:
+        syy = np.matmul(sy, y[:, :, None])[:, :, 0]  # sigma_r(y, y)
+        m += np.tensordot(syy, s, axes=([1], [0]))
+        m -= np.matmul(sy.transpose(0, 2, 1), sy)
+    return m
 
-    # Conjugate by the projector off the fixed direction, then lift that
-    # direction to a dominant eigenvalue so the smallest eigenvector of
-    # the result is the constrained minimizer.
-    mo = np.matmul(m, fixed[:, :, None])[:, :, 0]
-    omo = np.sum(fixed * mo, axis=1)
+
+def _plane_k(f: StructureFunctions, phi: np.ndarray, s: np.ndarray,
+             x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """K of the planes spanned by orthonormal coordinate rows x, y in L."""
+    mx = np.matmul(_plane_form(f.f2, phi, s, y), x[:, :, None])[:, :, 0]
+    return f.f1 + np.sum(x * mx, axis=1)
+
+
+def _best_partner(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
+                  y: np.ndarray):
+    """The unit x orthogonal to each row y that minimizes K(x ^ y), and
+    that K: one block step of coordinate descent.  M(y) y = 0, so lifting
+    y to an eigenvalue above max|M(y)|, which bounds the least eigenvalue
+    on y's complement, leaves the smallest eigenpair on that complement."""
+    m = _plane_form(f.f2, phi_l, s_l, y)
     shift = np.max(np.abs(m), axis=(1, 2)) * 10.0 + 1.0
-    m = (
-        m
-        - fixed[:, :, None] * mo[:, None, :]
-        - mo[:, :, None] * fixed[:, None, :]
-        + (omo + shift)[:, None, None] * (fixed[:, :, None] * fixed[:, None, :])
-    )
-
-    _, vecs = np.linalg.eigh(m)
-    new = vecs[:, :, 0]
-    new -= np.sum(new * fixed, axis=1)[:, None] * fixed
-    new /= np.linalg.norm(new, axis=1)[:, None]
-    return new
+    vals, vecs = np.linalg.eigh(m + shift[:, None, None] * (y[:, :, None] * y[:, None, :]))
+    x = vecs[:, :, 0]
+    x -= np.sum(x * y, axis=1)[:, None] * y
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    return x, f.f1 + vals[:, 0]
 
 
 #: the plane search: seeded random starts beside the L-frame pairs, the
-#: least gain in K per round that keeps a start going, and the round cap
+#: least gain in K per round that keeps a start going, the round cap,
+#: and the largest n searched (n(n-1)/2 + 20 starts, each n x n arrays)
 _RANDOM_STARTS = 20
 _SEARCH_SEED = 0
 _IMPROVEMENT_TOL = 1e-10
 _MAX_ROUNDS = 10_000
+_MAX_SEARCH_N = 32
+
+
+@functools.cache
+def _search_starts(n: int):
+    """The search's starting planes (a, b) at dimension n, read-only: every
+    L-frame pair in lexicographic order, then the seeded random pairs."""
+    rng = np.random.default_rng(_SEARCH_SEED)
+    random_q = [np.linalg.qr(rng.normal(size=(n, 2)))[0] for _ in range(_RANDOM_STARTS)]
+    starts = tuple(np.vstack([np.eye(n)[frame], [q[:, k] for q in random_q]])
+                   for k, frame in enumerate(np.triu_indices(n, 1)))
+    for array in starts:  # shared by every search at n
+        array.setflags(write=False)
+    return starts
 
 
 def minimize_sectional_plane(point: SubmanifoldPoint):
@@ -565,48 +545,35 @@ def minimize_sectional_plane(point: SubmanifoldPoint):
     plus seeded random pairs, and repeatedly replaces one plane vector
     by the exact minimizer in the other's orthogonal complement until a
     full round improves less than ``_IMPROVEMENT_TOL``.  Returns
-    (value, a, b) with the plane in L-frame coordinates.  The value is K
-    of an actual plane, so it is an upper bound for the true infimum: it
+    (value, a, b) with the plane in L-frame coordinates.  The value is
+    F1 plus the smallest eigenvalue of the plane form, K of the returned
+    plane to rounding, so it is an upper bound for the true infimum: it
     can refute a bound on tau - inf K, but a bound that holds at it is
-    not certified.  The argmin is best-effort, for diagnosis.
+    not certified.  The argmin is best-effort, for diagnosis.  n is
+    capped at ``_MAX_SEARCH_N``, since the starts grow as n^4 in memory.
     """
     n = point.n
     if n < 2:
         raise BadShape("planes in L need n >= 2")
+    if n > _MAX_SEARCH_N:
+        raise BadShape(f"the plane search is capped at n <= {_MAX_SEARCH_N}, got n = {n}")
     f = point.functions
     phi_l = point.phi[:n, :n]
     s_l = point.sff.coeffs[:, :n, :n]
 
-    if n == 2:
-        a = np.array([1.0, 0.0])
-        b = np.array([0.0, 1.0])
-        value = _plane_curvature_batch(f, phi_l, s_l, a[None, :], b[None, :])[0]
-        return float(value), a, b
+    if n == 2:  # L is the only plane
+        a, b = np.eye(2)
+        return float(_plane_k(f, phi_l, s_l, a[None, :], b[None, :])[0]), a, b
 
-    starts_a = []
-    starts_b = []
-    eye = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            starts_a.append(eye[i])
-            starts_b.append(eye[j])
-    rng = np.random.default_rng(_SEARCH_SEED)
-    for _ in range(_RANDOM_STARTS):
-        q, _ = np.linalg.qr(rng.normal(size=(n, 2)))
-        starts_a.append(q[:, 0])
-        starts_b.append(q[:, 1])
-    a = np.array(starts_a)
-    b = np.array(starts_b)
-
-    values = _plane_curvature_batch(f, phi_l, s_l, a, b)
+    a, b = (start.copy() for start in _search_starts(n))
+    values = _plane_k(f, phi_l, s_l, a, b)
     active = np.ones(len(values), dtype=bool)
     rounds = 0
     while active.any() and rounds < _MAX_ROUNDS:
         rounds += 1
         idx = np.flatnonzero(active)
-        a_act = _update_block(f, phi_l, s_l, b[idx])
-        b_act = _update_block(f, phi_l, s_l, a_act)
-        new_values = _plane_curvature_batch(f, phi_l, s_l, a_act, b_act)
+        a_act, _ = _best_partner(f, phi_l, s_l, b[idx])
+        b_act, new_values = _best_partner(f, phi_l, s_l, a_act)
         improvement = values[idx] - new_values
         a[idx], b[idx] = a_act, b_act
         values[idx] = new_values
@@ -711,6 +678,15 @@ def equality_pattern(n: int, form: ShapeOperatorForm) -> list[tuple[int, int, in
     return entries
 
 
+def _pattern_coeffs(rank: int, n: int, form: ShapeOperatorForm) -> np.ndarray:
+    """The symmetric form coefficients of ``equality_pattern`` on ``rank``
+    normal directions."""
+    coeffs = np.zeros((rank, n + 2, n + 2))
+    for r, i, j, value in equality_pattern(n, form):
+        coeffs[r, i, j] = coeffs[r, j, i] = value
+    return coeffs
+
+
 def equality_instance(ambient: AmbientModel, functions: StructureFunctions,
                       n: int, form: ShapeOperatorForm) -> SubmanifoldPoint:
     """Build a point whose form coefficients follow the equality patterns.
@@ -728,8 +704,5 @@ def equality_instance(ambient: AmbientModel, functions: StructureFunctions,
         raise BadShape(
             f"need normal rank >= {1 + len(form.pairs)}, model provides {rank}"
         )
-    coeffs = np.zeros((rank, n + 2, n + 2))
-    for r, i, j, value in equality_pattern(n, form):
-        coeffs[r, i, j] = coeffs[r, j, i] = value
     return attach_point(ambient, functions, frame,
-                        SecondFundamentalForm(coeffs), PointFlags())
+                        SecondFundamentalForm(_pattern_coeffs(rank, n, form)), PointFlags())

@@ -391,6 +391,20 @@ def test_overflowing_frame_vector_exits_2(tmp_path):
     assert_input_error(proc, "NonFinite")
 
 
+@pytest.mark.parametrize("scale", [9e307, 1e308])
+def test_sigma_scale_whose_draw_width_overflows_exits_2(tmp_path, scale):
+    scenario = _with(["sigma"], {"constraint": "none", "seed": 5, "scale": scale})
+    assert_input_error(run_cli("report", write_scenario(tmp_path, scenario)), "BadConfig")
+
+
+def test_global_delta_beyond_the_search_cap_exits_2(tmp_path):
+    scenario = {"ambient": {"m": 33}, "structure": {"preset": "s_space_form", "c": 1.0},
+                "frame": {"mode": "anti_invariant", "n": 33}, "sigma": {"coeffs": []},
+                "checks": [{"name": "global_delta"}]}
+    code, out, err = run_main("report", write_scenario(tmp_path, scenario))
+    assert (code, out, json.loads(err)["error"]) == (2, "", "BadShape")
+
+
 def _no_model(m):
     raise AssertionError(f"a model was built for m = {m}")
 

@@ -129,6 +129,8 @@ def test_bad_configs():
         G.GeneratorConfig(seed=0, n=2, m=2, f_ranges=((0.0, 1.0),) * 6)
     with pytest.raises(G.BadConfig):
         G.GeneratorConfig(seed=0, n=2, m=G.MAX_M + 1)
+    with pytest.raises(G.BadConfig):  # the draws span 2 * scale, which overflows
+        G.random_instance(G.GeneratorConfig(seed=0, n=2, m=2, sigma_scale=1e308))
 
 
 _CONSTRAINTS = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gssf as G
-from gssf.inequalities import _c_form_slack_form, _off_plane_t_norm
+from gssf.inequalities import (_c_form_slack_form, _off_plane_t_norm, _plane_form, _plane_k,
+                               _search_starts)
 from _builders import (anti_invariant_point, frame_ricci_defects, invariant_point, random_unit_l,
                        sff_with, spot_point)
+
+_CONSTRAINTS = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")
 
 
 # ---------------------------------------------------------------- lemma
@@ -567,6 +570,65 @@ def test_search_round_cap_raises(monkeypatch):
         G.minimize_sectional_plane(point)
     assert info.value.best_value is not None
     assert info.value.best_pair is not None
+
+
+def _random_l_pair(point, rng):
+    """Orthonormal L-frame coordinates of a random plane in L."""
+    q, _ = np.linalg.qr(rng.normal(size=(point.n, 2)))
+    return q[:, 0], q[:, 1]
+
+
+def test_plane_k_matches_the_curvature_tensor():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n = 2 + trial % 5
+        point = G.random_instance(G.GeneratorConfig(
+            seed=7_000 + trial, n=n, m=n + trial % 2, constraint=_CONSTRAINTS[trial % 4]))
+        phi_l, s_l = point.phi[:n, :n], point.sff.coeffs[:, :n, :n]
+        e_l = point.tangent.matrix[:n]
+        for _ in range(3):
+            a, b = _random_l_pair(point, rng)
+            k = _plane_k(point.functions, phi_l, s_l, a[None, :], b[None, :])[0]
+            assert abs(k - G.induced_curvature(point, a @ e_l, b @ e_l, b @ e_l, a @ e_l)) <= 1e-12
+            assert np.linalg.norm(_plane_form(point.functions.f2, phi_l, s_l, b[None, :])[0] @ b) <= 1e-12
+
+
+def test_search_value_is_k_at_its_plane_and_below_every_frame_pair():
+    for trial in range(24):
+        n = 3 + trial % 4
+        point = G.random_instance(G.GeneratorConfig(
+            seed=8_000 + trial, n=n, m=n + trial % 2, constraint=_CONSTRAINTS[trial % 4]))
+        value, a, b = G.minimize_sectional_plane(point)
+        e_l = point.tangent.matrix[:n]
+        k_at = G.induced_curvature(point, a @ e_l, b @ e_l, b @ e_l, a @ e_l)
+        assert abs(value - k_at) <= 1e-12 * max(1.0, abs(k_at))
+        pair_i, pair_j = np.triu_indices(n, 1)
+        assert value <= point.sectional_matrix[pair_i, pair_j].min() + 1e-12
+
+
+def test_search_starts_are_cached_read_only_and_seeded_per_n():
+    for n in (3, 6):
+        a, b = _search_starts(n)
+        assert _search_starts(n)[0] is a and not a.flags.writeable and not b.flags.writeable
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert np.array_equal(a[:len(pairs)], np.eye(n)[[i for i, _ in pairs]])
+        assert np.array_equal(b[:len(pairs)], np.eye(n)[[j for _, j in pairs]])
+        rng = np.random.default_rng(0)
+        for k in range(len(pairs), len(a)):
+            q, _ = np.linalg.qr(rng.normal(size=(n, 2)))
+            assert np.array_equal(a[k], q[:, 0]) and np.array_equal(b[k], q[:, 1])
+    point = G.random_instance(G.GeneratorConfig(seed=9, n=4, m=4))
+    first, second = G.minimize_sectional_plane(point), G.minimize_sectional_plane(point)
+    assert first[0] == second[0] and np.array_equal(first[1], second[1])
+
+
+def test_search_beyond_the_size_cap_raises_before_building_starts(monkeypatch):
+    monkeypatch.setattr("gssf.inequalities._search_starts", None)  # must not be called
+    point = anti_invariant_point(n=33, m=33)
+    with pytest.raises(G.BadShape):
+        G.minimize_sectional_plane(point)
+    with pytest.raises(G.BadShape):
+        G.global_delta_bounds(point)
 
 
 def test_search_finds_known_minimum():
