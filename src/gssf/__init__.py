@@ -50,6 +50,7 @@ from .inequalities import (
     ChenLemmaReport,
     FrameSweep,
     GlobalDeltaReport,
+    PlaneInfimum,
     RicciEqualityDiagnosis,
     ShapeMatchResult,
     ShapeOperatorForm,

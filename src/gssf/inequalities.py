@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,9 +109,16 @@ class ShapeMatchResult:
 
 @dataclass(frozen=True)
 class GlobalDeltaReport:
+    """The sign-split plane bound.  ``bound`` is decided on ``inf_k``, K at
+    ``argmin_plane``; ``inf_k_lower`` <= inf K <= ``inf_k`` is the lower end
+    of the bracket, certified as ``certificate`` says (see
+    :class:`PlaneInfimum`)."""
+
     branch: str  # "f2_nonneg" | "f2_neg"
     bound: BoundReport
     inf_k: float
+    inf_k_lower: float
+    certificate: str
     argmin_plane: tuple[Vec, Vec]
     equality_diagnosis: dict
     four_dim_slant: BoundReport | None = None
@@ -515,9 +524,175 @@ def _best_partner(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
     return x, f.f1 + vals[:, 0]
 
 
+@functools.cache
+def _bivector_layout(n: int):
+    """Index arrays of Lambda^2 L at dimension n, read-only.
+
+    ``pair_i``, ``pair_j`` list the basis e_i ^ e_j, i < j, in
+    lexicographic order.  Row k of ``left`` and ``right`` holds the basis
+    indices of the three Pluecker pairs (ab, cd), (ac, bd), (ad, bc) of
+    the k-th 4-subset a < b < c < d: the 4-form e_a ^ e_b ^ e_c ^ e_d is
+    the symmetric form W_k with entries +1, -1, +1 at those pairs.  No two
+    4-subsets share a pair of pairs, and left < right entrywise.
+    """
+    pair_i, pair_j = np.triu_indices(n, 1)
+    index = np.zeros((n, n), dtype=np.intp)
+    index[pair_i, pair_j] = np.arange(len(pair_i))
+    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
+    a, b, c, d = quads.T
+    left = np.stack([index[a, b], index[a, c], index[a, d]], axis=1)
+    right = np.stack([index[c, d], index[b, d], index[b, c]], axis=1)
+    layout = (pair_i, pair_j, left, right)
+    for array in layout:  # shared by every caller
+        array.setflags(write=False)
+    return layout
+
+
+_PLUECKER_SIGNS = np.array([1.0, -1.0, 1.0])
+
+
+def _curvature_operator(f: StructureFunctions, phi: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The curvature operator of L on Lambda^2 L in the basis e_i ^ e_j, i < j:
+    R_(ij),(kl) = F1 delta + 3 F2 phi_ij phi_kl + sum_r sigma_r,ik sigma_r,jl - sigma_r,il sigma_r,jk.
+    K(a ^ b) = v . R . v for orthonormal a, b in L and v = ``_bivector(a, b)``,
+    the value ``_plane_k`` gives.
+    """
+    pair_i, pair_j, _, _ = _bivector_layout(len(phi))
+    row_i, row_j = pair_i[:, None], pair_j[:, None]
+    t = np.tensordot(s, s, axes=([0], [0]))  # t[i, k, j, l] = sum_r sigma_r,ik sigma_r,jl
+    r = t[row_i, pair_i, row_j, pair_j] - t[row_i, pair_j, row_j, pair_i]
+    p = phi[pair_i, pair_j]
+    r += (3.0 * f.f2) * np.outer(p, p)
+    r[np.diag_indices_from(r)] += f.f1
+    return r
+
+
+def _four_form(n: int, t: np.ndarray) -> np.ndarray:
+    """sum_k t_k W_k on Lambda^2 L, scattered from each 4-subset's three
+    Pluecker pairs.  Every 4-form vanishes on decomposable bivectors, so
+    lambda_min(R + sum_k t_k W_k) <= inf K for every t."""
+    _, _, left, right = _bivector_layout(n)
+    size = n * (n - 1) // 2
+    w = np.zeros((size, size))
+    w[left, right] = t[:, None] * _PLUECKER_SIGNS
+    return w + w.T
+
+
+def _bivector(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coordinates a_i b_j - a_j b_i, i < j, of a ^ b in Lambda^2 L."""
+    pair_i, pair_j, _, _ = _bivector_layout(len(a))
+    return a[pair_i] * b[pair_j] - a[pair_j] * b[pair_i]
+
+
+def _bivector_plane(v: np.ndarray, n: int):
+    """An orthonormal pair (a, b) of L-frame coordinates spanning the plane
+    of the bivector v (the nearest decomposable one, if v is not)."""
+    pair_i, pair_j, _, _ = _bivector_layout(n)
+    m = np.zeros((n, n))
+    m[pair_i, pair_j] = v
+    u = np.linalg.svd(m - m.T)[0]
+    return u[:, 0], u[:, 1]
+
+
+def _closed(upper: float, lower: float) -> bool:
+    """Whether a bracket on inf K is certified: its relative gap is at most
+    the search's own convergence test."""
+    return upper - lower <= _IMPROVEMENT_TOL * max(1.0, abs(upper))
+
+
+def _isotropic_plane(vecs: np.ndarray, star: np.ndarray, n: int):
+    """The plane of a bivector in the span of the two lowest eigenvectors
+    ``vecs[:, :2]`` on which the 4-form ``star`` vanishes: the lowest
+    one, moved towards the second when ``star`` is indefinite on their
+    span (at a kink of lambda_min the bottom eigenspace is that span)."""
+    v0, v1 = vecs[:, 0], vecs[:, 1]
+    q00, q01, q11 = v0 @ star @ v0, v0 @ star @ v1, v1 @ star @ v1
+    disc = q01 * q01 - q00 * q11
+    if disc > 0.0:  # the smaller root x of q00 + 2 q01 x + q11 x^2 = 0
+        v0 = v0 - q00 / (q01 + math.copysign(math.sqrt(disc), q01)) * v1
+    return _bivector_plane(v0, n)
+
+
+def _thorpe(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray, r: np.ndarray):
+    """Thorpe's bound for n <= 4: maximize the concave
+    g(t) = lambda_min(R + t star) over t, where star is the one 4-form
+    at n = 4 and zero at n = 3 (every bivector is then decomposable).
+
+    Its slope at t is v . star . v for the lowest eigenvector v; at the
+    maximum the bottom eigenspace holds a decomposable bivector, whose
+    plane attains inf K = max g.  Each probe takes that plane's K as an
+    upper value and g(t) as a lower one, and the solve stops once they
+    close.  The step is Newton's on the slope, with the second-order
+    eigenvalue perturbation as its derivative, inside a bracket kept by
+    the slope's sign; a step that leaves the bracket or shrinks by less
+    than half over two steps is replaced by bisection.  |t| beyond
+    2 (lambda_max(R) - lambda_min(R)) + 1 cannot be the maximum, since
+    star has eigenvalues +-1.  Returns (upper, lower, a, b).
+    """
+    n = len(phi_l)
+    star = _four_form(n, np.ones(math.comb(n, 4)))
+    t, lo, hi = 0.0, -math.inf, math.inf
+    last = older = math.inf
+    upper, lower, plane = math.inf, -math.inf, None
+    while True:
+        vals, vecs = np.linalg.eigh(r + t * star)
+        lower = max(lower, float(vals[0]))
+        a, b = _isotropic_plane(vecs, star, n)
+        k = float(_plane_k(f, phi_l, s_l, a[None, :], b[None, :])[0])
+        if plane is None or k < upper:
+            upper, plane = k, (a, b)
+        if _closed(upper, lower):
+            break
+        if lo == -math.inf:  # the first probe, at t = 0
+            hi = 2.0 * float(vals[-1] - vals[0]) + 1.0
+            lo = -hi
+        star_v = star @ vecs[:, 0]
+        slope = vecs[:, 0] @ star_v
+        if slope > 0.0:
+            lo = t
+        elif slope < 0.0:
+            hi = t
+        else:  # isotropic (or NaN): no direction left to move in
+            break
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # bisect instead
+            curvature = -2.0 * np.sum((vecs[:, 1:].T @ star_v) ** 2 / (vals[1:] - vals[0]))
+            newton = slope / curvature
+        if lo < t - newton < hi and abs(newton) <= 0.5 * older:
+            step = float(newton)
+        else:
+            step = t - 0.5 * (lo + hi)
+        older, last = last, abs(step)
+        if t - step in (t, lo, hi):  # the bracket is down to adjacent doubles
+            break
+        t -= step
+    return upper, lower, *plane
+
+
+def _kkt_bound(r: np.ndarray, value: float, a: np.ndarray, b: np.ndarray) -> float:
+    """A lower bound on inf K from a converged plane a ^ b of value K.
+
+    The multipliers t of its KKT system (R - K I) v + sum_k t_k W_k v = 0
+    come from least squares: the least-norm solution of the normal
+    equations, whose matrix is scattered from the six entries of each
+    column W_k v, so no 4-form is held densely.  lambda_min(R + sum_k
+    t_k W_k) bounds inf K for any t, and equals K when t certifies it.
+    """
+    n = len(a)
+    _, _, left, right = _bivector_layout(n)
+    v = _bivector(a, b)
+    rows = np.concatenate([left, right], axis=1)
+    entries = np.tile(_PLUECKER_SIGNS, 2) * v[np.concatenate([right, left], axis=1)]
+    gram = np.zeros((len(v), len(v)))
+    np.add.at(gram, (rows[:, :, None], rows[:, None, :]), entries[:, :, None] * entries[:, None, :])
+    y = np.linalg.lstsq(gram, value * v - r @ v, rcond=None)[0]
+    t = np.sum(entries * y[rows], axis=1)
+    return float(np.linalg.eigvalsh(r + _four_form(n, t))[0])
+
+
 #: the plane search: seeded random starts beside the L-frame pairs, the
-#: least gain in K per round that keeps a start going, the round cap,
-#: and the largest n searched (n(n-1)/2 + 20 starts, each n x n arrays)
+#: least gain in K per round that keeps a start going (also the relative
+#: gap at which an upper and a lower value count as closed), the round
+#: cap, and the largest n searched (n(n-1)/2 + 20 starts, each n x n arrays)
 _RANDOM_STARTS = 20
 _SEARCH_SEED = 0
 _IMPROVEMENT_TOL = 1e-10
@@ -538,19 +713,83 @@ def _search_starts(n: int):
     return starts
 
 
-def minimize_sectional_plane(point: SubmanifoldPoint):
-    """Best-effort infimum of induced K over 2-planes inside L.
+def _plane_search(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
+                  lower: float = -math.inf, certify=None):
+    """Multi-start alternating minimization of K over planes in L.
 
-    Multi-start alternating minimization: starts at every L-frame pair
-    plus seeded random pairs, and repeatedly replaces one plane vector
-    by the exact minimizer in the other's orthogonal complement until a
-    full round improves less than ``_IMPROVEMENT_TOL``.  Returns
-    (value, a, b) with the plane in L-frame coordinates.  The value is
-    F1 plus the smallest eigenvalue of the plane form, K of the returned
-    plane to rounding, so it is an upper bound for the true infimum: it
-    can refute a bound on tau - inf K, but a bound that holds at it is
-    not certified.  The argmin is best-effort, for diagnosis.  n is
-    capped at ``_MAX_SEARCH_N``, since the starts grow as n^4 in memory.
+    Starts at every L-frame pair plus seeded random pairs, and repeatedly
+    replaces one plane vector by the exact minimizer in the other's
+    orthogonal complement until a full round improves less than
+    ``_IMPROVEMENT_TOL``.  Whenever the best start has converged by that
+    test, ``certify(value, a, b)``, if given, raises ``lower``, and the
+    search stops once the two close.  Returns (value, lower, a, b); the
+    value is F1 plus the smallest eigenvalue of the plane form, K of the
+    returned plane to rounding.
+    """
+    n = len(phi_l)
+    a, b = (start.copy() for start in _search_starts(n))
+    values = _plane_k(f, phi_l, s_l, a, b)
+    active = np.ones(len(values), dtype=bool)
+    rounds, checked = 0, -1
+    while active.any() and rounds < _MAX_ROUNDS:
+        rounds += 1
+        idx = np.flatnonzero(active)
+        a_act, _ = _best_partner(f, phi_l, s_l, b[idx])
+        b_act, new_values = _best_partner(f, phi_l, s_l, a_act)
+        improvement = values[idx] - new_values
+        a[idx], b[idx] = a_act, b_act
+        values[idx] = new_values
+        active[idx] = improvement > _IMPROVEMENT_TOL
+        best = int(np.argmin(values))
+        if certify is not None and not active[best] and best != checked:
+            checked = best
+            lower = max(lower, certify(float(values[best]), a[best], b[best]))
+            if _closed(float(values[best]), lower):
+                break
+    best = int(np.argmin(values))
+    if active[best]:
+        raise SearchDidNotConverge(
+            "plane search hit the round cap before converging",
+            best_value=float(values[best]),
+            best_pair=(a[best].copy(), b[best].copy()),
+        )
+    return float(values[best]), lower, a[best], b[best]
+
+
+class PlaneInfimum(NamedTuple):
+    """A bracket lower <= inf K <= upper over planes in L, the kind of
+    certificate behind ``lower`` and a plane (a, b), in L-frame
+    coordinates, at which K = ``upper`` to rounding.
+
+    ``certificate`` is ``exact`` (n <= 3: every bivector is decomposable,
+    so lambda_min of the curvature operator is inf K), ``thorpe`` (n = 4:
+    Thorpe's max over t of lambda_min(R + t star)), ``kkt`` (n >= 5: the
+    multipliers of the search's converged argmin), or ``none``, when the
+    bracket did not close to ``_IMPROVEMENT_TOL`` relative; ``lower`` is
+    then the best of the bounds tried.
+    """
+
+    upper: float
+    lower: float
+    certificate: str
+    a: np.ndarray
+    b: np.ndarray
+
+
+def minimize_sectional_plane(point: SubmanifoldPoint) -> PlaneInfimum:
+    """The infimum of induced K over 2-planes inside L, bracketed.
+
+    Every 4-form vanishes on decomposable bivectors, so lambda_min of the
+    curvature operator R on Lambda^2 L plus any sum of 4-forms is a lower
+    bound; the upper value is K at a plane.  At n = 2 L is the only plane.
+    At n = 3 and 4 the plane comes from the bottom eigenspace of Thorpe's
+    maximizer and no search runs, unless the bracket stays open, when the
+    search below supplies the upper value.  At n >= 5 the multi-start
+    search gives the upper value, and the KKT multipliers of its
+    converged best start the lower one; it stops as soon as they close.
+    The upper value decides the plane bound; the argmin is for diagnosis.
+    n is capped at ``_MAX_SEARCH_N``, since the starts grow as n^4 in
+    memory.
     """
     n = point.n
     if n < 2:
@@ -563,29 +802,24 @@ def minimize_sectional_plane(point: SubmanifoldPoint):
 
     if n == 2:  # L is the only plane
         a, b = np.eye(2)
-        return float(_plane_k(f, phi_l, s_l, a[None, :], b[None, :])[0]), a, b
+        value = float(_plane_k(f, phi_l, s_l, a[None, :], b[None, :])[0])
+        return PlaneInfimum(value, value, "exact", a, b)
 
-    a, b = (start.copy() for start in _search_starts(n))
-    values = _plane_k(f, phi_l, s_l, a, b)
-    active = np.ones(len(values), dtype=bool)
-    rounds = 0
-    while active.any() and rounds < _MAX_ROUNDS:
-        rounds += 1
-        idx = np.flatnonzero(active)
-        a_act, _ = _best_partner(f, phi_l, s_l, b[idx])
-        b_act, new_values = _best_partner(f, phi_l, s_l, a_act)
-        improvement = values[idx] - new_values
-        a[idx], b[idx] = a_act, b_act
-        values[idx] = new_values
-        active[idx] = improvement > _IMPROVEMENT_TOL
-    best = int(np.argmin(values))
-    if active[best]:
-        raise SearchDidNotConverge(
-            "plane search hit the round cap before converging",
-            best_value=float(values[best]),
-            best_pair=(a[best].copy(), b[best].copy()),
-        )
-    return float(values[best]), a[best], b[best]
+    r = _curvature_operator(f, phi_l, s_l)
+    if n <= 4:
+        kind = "exact" if n == 3 else "thorpe"
+        upper, lower, a, b = _thorpe(f, phi_l, s_l, r)
+        if not _closed(upper, lower):
+            upper, _, a, b = _plane_search(f, phi_l, s_l)
+    else:
+        kind = "kkt"
+        upper, lower, a, b = _plane_search(
+            f, phi_l, s_l, float(np.linalg.eigvalsh(r)[0]),
+            lambda value, a, b: _kkt_bound(r, value, a, b))
+    if not _closed(upper, lower):
+        kind = "none"
+    # K at a plane bounds inf K from above, so a lower value beyond it is rounding
+    return PlaneInfimum(upper, min(lower, upper), kind, a, b)
 
 
 def _off_plane_t_norm(point: SubmanifoldPoint, a: np.ndarray, b: np.ndarray) -> float:
@@ -616,7 +850,7 @@ def global_delta_bounds(point: SubmanifoldPoint,
     """
     n = point.n
     f = point.functions
-    inf_k, a, b = minimize_sectional_plane(point)
+    inf_k, inf_k_lower, certificate, a, b = minimize_sectional_plane(point)
     e_l = point.tangent.matrix[:n]
     argmin = (a @ e_l, b @ e_l)
     lhs = point.tau - inf_k
@@ -658,6 +892,7 @@ def global_delta_bounds(point: SubmanifoldPoint,
                                    defect_terms=defects)
 
     return GlobalDeltaReport(branch=branch, bound=bound, inf_k=inf_k,
+                             inf_k_lower=inf_k_lower, certificate=certificate,
                              argmin_plane=argmin, equality_diagnosis=diagnosis,
                              four_dim_slant=four_dim)
 

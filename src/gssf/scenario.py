@@ -387,7 +387,8 @@ def run_checks(point: SubmanifoldPoint, checks: list[dict],
                 ))
         elif name == "global_delta":
             report = global_delta_bounds(point, tol=tol)
-            diag = {"inf_k": report.inf_k}
+            diag = {"inf_k": report.inf_k, "inf_k_lower": report.inf_k_lower,
+                    "certificate": report.certificate}
             diag.update(report.equality_diagnosis)
             produced.append(bound_record(f"{name}[{report.branch}]", report.bound, diag))
             if report.four_dim_slant is not None:

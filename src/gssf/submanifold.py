@@ -58,6 +58,8 @@ class SecondFundamentalForm:
             raise BadShape("coefficients must have shape (normals, t, t)")
         if not np.all(np.isfinite(c)):
             raise BadShape("coefficients must be finite")
+        if not math.isfinite(np.vdot(c, c)):  # BLAS: overflows to inf with no warning
+            raise NonFinite("coefficients are too large: their sum of squares overflows")
         if not np.array_equal(c, np.swapaxes(c, 1, 2)):
             raise BadShape("coefficients must be symmetric in the tangent indices")
         c.setflags(write=False)

@@ -397,6 +397,22 @@ def test_sigma_scale_whose_draw_width_overflows_exits_2(tmp_path, scale):
     assert_input_error(run_cli("report", write_scenario(tmp_path, scenario)), "BadConfig")
 
 
+_CHECK_NAMES = ("scalar_identity", "invariant_report", "ricci_bound", "ricci_equality",
+                "delta_bound", "global_delta", "classify")
+
+
+@pytest.mark.parametrize("value", [1e155, 1e200])
+@pytest.mark.parametrize("check", _CHECK_NAMES)
+def test_coefficients_whose_squares_overflow_exit_2(tmp_path, check, value):
+    scenario = {"ambient": {"m": 4}, "structure": {"preset": "s_space_form", "c": 2.0},
+                "frame": {"mode": "anti_invariant", "n": 4},
+                "sigma": {"coeffs": [[1, 1, 1, value], [1, 2, 3, 1.0]]},
+                "checks": [{"name": check}]}
+    code, out, err = run_main("report", write_scenario(tmp_path, scenario))
+    assert (code, out, len(err.splitlines())) == (2, "", 1), err
+    assert json.loads(err)["error"] == "NonFinite"
+
+
 def test_global_delta_beyond_the_search_cap_exits_2(tmp_path):
     scenario = {"ambient": {"m": 33}, "structure": {"preset": "s_space_form", "c": 1.0},
                 "frame": {"mode": "anti_invariant", "n": 33}, "sigma": {"coeffs": []},

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gssf as G
-from gssf.inequalities import (_c_form_slack_form, _off_plane_t_norm, _plane_form, _plane_k,
-                               _search_starts)
+from gssf.inequalities import (_bivector, _c_form_slack_form, _curvature_operator,
+                               _four_form, _isotropic_plane, _off_plane_t_norm, _plane_form, _plane_k,
+                               _plane_search, _search_starts, _thorpe)
 from _builders import (anti_invariant_point, frame_ricci_defects, invariant_point, random_unit_l,
                        sff_with, spot_point)
 
@@ -563,7 +565,7 @@ def test_global_delta_needs_planes():
 
 
 def test_search_round_cap_raises(monkeypatch):
-    cfg = G.GeneratorConfig(seed=9, n=4, m=4, constraint="none")
+    cfg = G.GeneratorConfig(seed=9, n=5, m=5, constraint="none")
     point = G.random_instance(cfg)
     monkeypatch.setattr("gssf.inequalities._MAX_ROUNDS", 0)
     with pytest.raises(G.SearchDidNotConverge) as info:
@@ -591,6 +593,8 @@ def test_plane_k_matches_the_curvature_tensor():
             k = _plane_k(point.functions, phi_l, s_l, a[None, :], b[None, :])[0]
             assert abs(k - G.induced_curvature(point, a @ e_l, b @ e_l, b @ e_l, a @ e_l)) <= 1e-12
             assert np.linalg.norm(_plane_form(point.functions.f2, phi_l, s_l, b[None, :])[0] @ b) <= 1e-12
+            v = _bivector(a, b)
+            assert abs(v @ _curvature_operator(point.functions, phi_l, s_l) @ v - k) <= 1e-12
 
 
 def test_search_value_is_k_at_its_plane_and_below_every_frame_pair():
@@ -598,7 +602,7 @@ def test_search_value_is_k_at_its_plane_and_below_every_frame_pair():
         n = 3 + trial % 4
         point = G.random_instance(G.GeneratorConfig(
             seed=8_000 + trial, n=n, m=n + trial % 2, constraint=_CONSTRAINTS[trial % 4]))
-        value, a, b = G.minimize_sectional_plane(point)
+        value, _, _, a, b = G.minimize_sectional_plane(point)
         e_l = point.tangent.matrix[:n]
         k_at = G.induced_curvature(point, a @ e_l, b @ e_l, b @ e_l, a @ e_l)
         assert abs(value - k_at) <= 1e-12 * max(1.0, abs(k_at))
@@ -617,9 +621,9 @@ def test_search_starts_are_cached_read_only_and_seeded_per_n():
         for k in range(len(pairs), len(a)):
             q, _ = np.linalg.qr(rng.normal(size=(n, 2)))
             assert np.array_equal(a[k], q[:, 0]) and np.array_equal(b[k], q[:, 1])
-    point = G.random_instance(G.GeneratorConfig(seed=9, n=4, m=4))
+    point = G.random_instance(G.GeneratorConfig(seed=9, n=5, m=5))
     first, second = G.minimize_sectional_plane(point), G.minimize_sectional_plane(point)
-    assert first[0] == second[0] and np.array_equal(first[1], second[1])
+    assert first.upper == second.upper and np.array_equal(first.a, second.a)
 
 
 def test_search_beyond_the_size_cap_raises_before_building_starts(monkeypatch):
@@ -631,12 +635,104 @@ def test_search_beyond_the_size_cap_raises_before_building_starts(monkeypatch):
         G.global_delta_bounds(point)
 
 
+def test_four_forms_vanish_on_decomposable_bivectors():
+    rng = np.random.default_rng(41)
+    for n in range(4, 8):
+        count = math.comb(n, 4)
+        stack = [_four_form(n, np.eye(count)[k]) for k in range(count)]
+        for w in stack:  # three +-1 pairs, symmetric
+            assert np.array_equal(w, w.T) and np.sum(np.abs(w)) == 6.0 and w.sum() == 2.0
+        for _ in range(10):
+            q, _ = np.linalg.qr(rng.normal(size=(n, 2)))
+            v = _bivector(q[:, 0], q[:, 1])
+            assert max(abs(v @ w @ v) for w in stack) <= 1e-15
+    # the one 4-form at n = 4 has eigenvalues -1, -1, -1, 1, 1, 1, which bounds Thorpe's bracket
+    assert np.allclose(np.linalg.eigvalsh(_four_form(4, np.ones(1))), [-1, -1, -1, 1, 1, 1])
+
+
+def test_a_kink_gives_the_decomposable_combination_of_the_bottom_eigenvectors():
+    # at a kink of lambda_min(R + t star) the bottom eigenspace is spanned by
+    # two planes P+, P-; its eigenvectors P+ +- P- are not decomposable, and
+    # their nearest decomposable bivectors are neither plane
+    rng = np.random.default_rng(47)
+    star = _four_form(4, np.ones(1))
+    for _ in range(20):
+        planes = [_bivector(*np.linalg.qr(rng.normal(size=(4, 2)))[0].T) for _ in range(2)]
+        vecs = np.stack([planes[0] + planes[1], planes[0] - planes[1]], axis=1)
+        vecs /= np.linalg.norm(vecs, axis=0)
+        v = _bivector(*_isotropic_plane(vecs, star, 4))
+        assert min(np.linalg.norm(v - s * plane) for plane in planes for s in (1, -1)) <= 1e-12
+
+
+def test_plane_infimum_lower_value_is_below_k_at_random_planes():
+    rng = np.random.default_rng(43)
+    kinds = []
+    for trial in range(24):
+        n = 3 + trial % 4
+        point = G.random_instance(G.GeneratorConfig(
+            seed=9_000 + trial, n=n, m=n + trial % 2, constraint=_CONSTRAINTS[trial % 4]))
+        result = G.minimize_sectional_plane(point)
+        q = np.linalg.qr(rng.normal(size=(50, n, 2)))[0]
+        k = _plane_k(point.functions, point.phi[:n, :n], point.sff.coeffs[:, :n, :n],
+                     q[:, :, 0], q[:, :, 1])
+        assert result.lower <= k.min()
+        assert result.lower <= result.upper
+        if result.certificate != "none":
+            assert result.upper - result.lower <= 1e-10 * max(1.0, abs(result.upper))
+        kinds.append(result.certificate)
+    assert kinds[0::4] == ["exact"] * 6 and kinds[1::4] == ["thorpe"] * 6
+    assert (kinds[2::4] + kinds[3::4]).count("kkt") >= 6  # KKT closes most brackets at n >= 5
+
+
+def test_small_n_infimum_matches_the_search_without_running_it():
+    for trial in range(200):
+        n = 3 + trial % 2
+        point = G.random_instance(G.GeneratorConfig(
+            seed=10_000 + trial, n=n, m=n + (trial // 2) % 2,
+            constraint=_CONSTRAINTS[(trial // 4) % 4]))
+        result = G.minimize_sectional_plane(point)
+        assert result.certificate == ("exact" if n == 3 else "thorpe")
+        searched, _, _, _ = _plane_search(point.functions, point.phi[:n, :n],
+                                          point.sff.coeffs[:, :n, :n])
+        assert abs(result.upper - searched) <= 1e-10 * max(1.0, abs(searched))
+        assert result.lower <= searched + 1e-12 * max(1.0, abs(searched))  # K to rounding
+
+
+def test_open_thorpe_bracket_falls_back_to_the_search(monkeypatch):
+    def loose(*args):
+        upper, lower, a, b = _thorpe(*args)
+        return upper + 1.0, lower - 1.0, a, b
+
+    monkeypatch.setattr("gssf.inequalities._thorpe", loose)
+    point = G.random_instance(G.GeneratorConfig(seed=9, n=4, m=4))
+    result = G.minimize_sectional_plane(point)
+    searched, _, a, b = _plane_search(point.functions, point.phi[:4, :4], point.sff.coeffs[:, :4, :4])
+    assert (result.upper, result.certificate) == (searched, "none")
+    assert np.array_equal(result.a, a) and np.array_equal(result.b, b)
+    assert result.lower < result.upper - 0.5
+
+
+def test_kkt_certificate_holds_no_dense_four_form_stack():
+    n = 12
+    point = G.random_instance(G.GeneratorConfig(seed=3, n=n, m=n))
+    size = n * (n - 1) // 2
+    dense_stack = math.comb(n, 4) * size * size * 8  # bytes of a (C(n, 4), N, N) stack
+    tracemalloc.start()
+    try:
+        result = G.minimize_sectional_plane(point)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_stack / 4
+    assert result.lower <= result.upper
+
+
 def test_search_finds_known_minimum():
     # invariant geodesic point with F2 > 0: inf K = F1 on f-orthogonal planes
     functions = G.StructureFunctions(1.0, 0.7, -0.3, 0.2, 0.1, -0.4, 0.5)
     point = invariant_point(n=4, m=4, functions=functions)
-    value, a, b = G.minimize_sectional_plane(point)
-    assert abs(value - 1.0) < 1e-9
+    value, lower, _, _, _ = G.minimize_sectional_plane(point)
+    assert abs(value - 1.0) < 1e-9 and abs(lower - 1.0) < 1e-9
 
 
 def test_slant_ricci_specialization():
