@@ -31,7 +31,6 @@ from .errors import (
     NotTangent,
     NotUnitVector,
     SchemaViolation,
-    SearchDidNotConverge,
     UsageError,
     VariantPreconditionViolated,
     XiNotTangent,

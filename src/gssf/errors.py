@@ -68,14 +68,3 @@ class NonFinite(GssfError):
 class BadDimension(GssfError):
     """The ambient model is too small for the requested construction."""
 
-
-class SearchDidNotConverge(GssfError):
-    """The plane search hit its iteration cap before converging.
-
-    Carries the best value and plane found so callers can still report.
-    """
-
-    def __init__(self, message: str, best_value=None, best_pair=None):
-        super().__init__(message)
-        self.best_value = best_value
-        self.best_pair = best_pair

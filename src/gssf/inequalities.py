@@ -25,9 +25,9 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     BadK,
     BadShape,
+    NonFinite,
     NotMinimal,
     NotOrthonormal,
-    SearchDidNotConverge,
     VariantPreconditionViolated,
 )
 from .frames import Vec, as_vec, complete_basis
@@ -516,7 +516,10 @@ def _best_partner(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
     y to an eigenvalue above max|M(y)|, which bounds the least eigenvalue
     on y's complement, leaves the smallest eigenpair on that complement."""
     m = _plane_form(f.f2, phi_l, s_l, y)
-    shift = np.max(np.abs(m), axis=(1, 2)) * 10.0 + 1.0
+    peak = np.max(np.abs(m), axis=(1, 2))
+    if not peak.max() < 1e307:  # the lift would overflow (or M holds a NaN)
+        raise NonFinite("the plane-curvature form is too large to shift for the search")
+    shift = peak * 10.0 + 1.0
     vals, vecs = np.linalg.eigh(m + shift[:, None, None] * (y[:, :, None] * y[:, None, :]))
     x = vecs[:, :, 0]
     x -= np.sum(x * y, axis=1)[:, None] * y
@@ -714,22 +717,25 @@ def _search_starts(n: int):
 
 
 def _plane_search(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
-                  lower: float = -math.inf, certify=None):
+                  r: np.ndarray | None = None):
     """Multi-start alternating minimization of K over planes in L.
 
     Starts at every L-frame pair plus seeded random pairs, and repeatedly
     replaces one plane vector by the exact minimizer in the other's
     orthogonal complement until a full round improves less than
-    ``_IMPROVEMENT_TOL``.  Whenever the best start has converged by that
-    test, ``certify(value, a, b)``, if given, raises ``lower``, and the
-    search stops once the two close.  Returns (value, lower, a, b); the
-    value is F1 plus the smallest eigenvalue of the plane form, K of the
-    returned plane to rounding.
+    ``_IMPROVEMENT_TOL`` or ``_MAX_ROUNDS`` rounds have run.  Given the
+    curvature operator ``r``, the lower value starts at lambda_min(r),
+    each converged best start raises it by its KKT bound, and the search
+    stops once the two close; without ``r`` it stays -inf.  Returns
+    (value, lower, a, b): the value is F1 plus the smallest eigenvalue of
+    the plane form, K of the returned plane to rounding, so an upper
+    bound on inf K even when the round cap stops the search.
     """
     n = len(phi_l)
     a, b = (start.copy() for start in _search_starts(n))
     values = _plane_k(f, phi_l, s_l, a, b)
     active = np.ones(len(values), dtype=bool)
+    lower = -math.inf if r is None else float(np.linalg.eigvalsh(r)[0])
     rounds, checked = 0, -1
     while active.any() and rounds < _MAX_ROUNDS:
         rounds += 1
@@ -741,18 +747,12 @@ def _plane_search(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
         values[idx] = new_values
         active[idx] = improvement > _IMPROVEMENT_TOL
         best = int(np.argmin(values))
-        if certify is not None and not active[best] and best != checked:
+        if r is not None and not active[best] and best != checked:
             checked = best
-            lower = max(lower, certify(float(values[best]), a[best], b[best]))
+            lower = max(lower, _kkt_bound(r, float(values[best]), a[best], b[best]))
             if _closed(float(values[best]), lower):
                 break
     best = int(np.argmin(values))
-    if active[best]:
-        raise SearchDidNotConverge(
-            "plane search hit the round cap before converging",
-            best_value=float(values[best]),
-            best_pair=(a[best].copy(), b[best].copy()),
-        )
     return float(values[best]), lower, a[best], b[best]
 
 
@@ -765,8 +765,11 @@ class PlaneInfimum(NamedTuple):
     so lambda_min of the curvature operator is inf K), ``thorpe`` (n = 4:
     Thorpe's max over t of lambda_min(R + t star)), ``kkt`` (n >= 5: the
     multipliers of the search's converged argmin), or ``none``, when the
-    bracket did not close to ``_IMPROVEMENT_TOL`` relative; ``lower`` is
-    then the best of the bounds tried.
+    bracket did not close to ``_IMPROVEMENT_TOL`` relative: Thorpe's solve
+    stopped at a zero slope or a bracket of adjacent doubles, no converged
+    best start had KKT multipliers that certify it, or the search hit
+    ``_MAX_ROUNDS``.  ``lower`` is then the best of the bounds tried, and
+    ``upper`` is still K at (a, b).
     """
 
     upper: float
@@ -783,13 +786,12 @@ def minimize_sectional_plane(point: SubmanifoldPoint) -> PlaneInfimum:
     curvature operator R on Lambda^2 L plus any sum of 4-forms is a lower
     bound; the upper value is K at a plane.  At n = 2 L is the only plane.
     At n = 3 and 4 the plane comes from the bottom eigenspace of Thorpe's
-    maximizer and no search runs, unless the bracket stays open, when the
-    search below supplies the upper value.  At n >= 5 the multi-start
-    search gives the upper value, and the KKT multipliers of its
-    converged best start the lower one; it stops as soon as they close.
-    The upper value decides the plane bound; the argmin is for diagnosis.
-    n is capped at ``_MAX_SEARCH_N``, since the starts grow as n^4 in
-    memory.
+    maximizer and no search runs.  At n >= 5 the multi-start search gives
+    the upper value, and the KKT multipliers of its converged best start
+    the lower one; it stops as soon as they close.  The upper value
+    decides the plane bound; the argmin is for diagnosis.  n is capped at
+    ``_MAX_SEARCH_N``, since the starts grow as n^4 in memory; an operator
+    that overflows raises ``NonFinite`` before any eigensolver sees it.
     """
     n = point.n
     if n < 2:
@@ -805,17 +807,16 @@ def minimize_sectional_plane(point: SubmanifoldPoint) -> PlaneInfimum:
         value = float(_plane_k(f, phi_l, s_l, a[None, :], b[None, :])[0])
         return PlaneInfimum(value, value, "exact", a, b)
 
-    r = _curvature_operator(f, phi_l, s_l)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        r = _curvature_operator(f, phi_l, s_l)
+    if not np.isfinite(r).all():
+        raise NonFinite("the curvature operator on Lambda^2 L is not finite")
     if n <= 4:
         kind = "exact" if n == 3 else "thorpe"
         upper, lower, a, b = _thorpe(f, phi_l, s_l, r)
-        if not _closed(upper, lower):
-            upper, _, a, b = _plane_search(f, phi_l, s_l)
     else:
         kind = "kkt"
-        upper, lower, a, b = _plane_search(
-            f, phi_l, s_l, float(np.linalg.eigvalsh(r)[0]),
-            lambda value, a, b: _kkt_bound(r, value, a, b))
+        upper, lower, a, b = _plane_search(f, phi_l, s_l, r)
     if not _closed(upper, lower):
         kind = "none"
     # K at a plane bounds inf K from above, so a lower value beyond it is rounding

@@ -331,11 +331,9 @@ def run_checks(point: SubmanifoldPoint, checks: list[dict],
 
         if name == "scalar_identity":
             result = scalar_identity_check(point)
-            scale = max(1.0, abs(result.lhs), abs(result.rhs))
+            within = result.abs_diff <= tol_eq * result.scale
             rec = _record(name, lhs=result.lhs, rhs=result.rhs,
-                          slack=result.rhs - result.lhs,
-                          equality=result.abs_diff <= tol_eq,
-                          passed=result.abs_diff <= tol_eq * scale,
+                          slack=result.rhs - result.lhs, equality=within, passed=within,
                           diagnostics={"tau": point.tau, "abs_diff": result.abs_diff})
             produced.append(rec)
         elif name == "invariant_report":

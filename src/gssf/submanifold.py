@@ -111,11 +111,14 @@ class InvariantReport:
 
 @dataclass(frozen=True)
 class ScalarIdentityReport:
-    """Twice the scalar curvature against its closed form."""
+    """Twice the scalar curvature against its closed form.  Both sides sum
+    terms up to ``scale`` = max(1, |2 tau|, |each closed-form term|) in size,
+    so their rounding grows with it even where the terms cancel."""
 
     lhs: float
     rhs: float
     abs_diff: float
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -447,15 +450,12 @@ def scalar_identity_check(point: SubmanifoldPoint) -> ScalarIdentityReport:
     n = point.n
     f = point.functions
     lhs = 2.0 * point.tau
-    rhs = (
-        (n + 1) * (n + 2) * f.f1
-        - 2.0 * (n + 1) * (f.f11 + f.f22)
-        + 2.0 * f.f3
-        + 3.0 * f.f2 * point.t_norm_sq
-        + (n + 2) ** 2 * point.h_norm_sq
-        - float(np.sum(point.sff.coeffs ** 2))
-    )
-    return ScalarIdentityReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs))
+    terms = ((n + 1) * (n + 2) * f.f1, -2.0 * (n + 1) * (f.f11 + f.f22), 2.0 * f.f3,
+             3.0 * f.f2 * point.t_norm_sq, (n + 2) ** 2 * point.h_norm_sq,
+             -float(np.sum(point.sff.coeffs ** 2)))
+    rhs = terms[0] + terms[1] + terms[2] + terms[3] + terms[4] + terms[5]
+    return ScalarIdentityReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs),
+                                scale=max(1.0, abs(lhs), *map(abs, terms)))
 
 
 def _require_unit_l(point: SubmanifoldPoint, u, tol: Tolerances) -> np.ndarray:

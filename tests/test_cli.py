@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from gssf import (DEFAULT, MAX_M, SchemaViolation, ShapeOperatorForm, canonical_model, cli,
-                  equality_instance, preset_structure_functions)
+from gssf import (DEFAULT, MAX_M, NonFinite, SchemaViolation, ShapeOperatorForm, canonical_model,
+                  cli, equality_instance, minimize_sectional_plane, preset_structure_functions)
+from gssf import scenario as scenario_module
 from gssf.jsonutil import dumps
 from gssf.scenario import SCENARIO_SCHEMA, assemble, run_checks, validate_scenario
 
@@ -411,6 +413,60 @@ def test_coefficients_whose_squares_overflow_exit_2(tmp_path, check, value):
     code, out, err = run_main("report", write_scenario(tmp_path, scenario))
     assert (code, out, len(err.splitlines())) == (2, "", 1), err
     assert json.loads(err)["error"] == "NonFinite"
+
+
+_SLANT_NEAR_LIMIT = [
+    (5, 4, {"values": [1e308, -1e308, 1, 1, 0, 0, 1]}),  # 3 F2 overflows into R
+    (7, 6, {"preset": "s_space_form", "c": 1e308}),  # the search's shift overflows
+    (5, 4, {"preset": "s_space_form", "c": 1e308}),  # tau overflows
+]
+
+
+def _slant_global_delta(m, n, structure):
+    return {"ambient": {"m": m}, "structure": structure,
+            "frame": {"mode": "slant", "n": n, "theta": 0.6},
+            "sigma": {"constraint": "none", "seed": 1}, "checks": [{"name": "global_delta"}]}
+
+
+@pytest.mark.parametrize("m, n, structure", _SLANT_NEAR_LIMIT)
+def test_global_delta_near_the_float_limit_exits_2(tmp_path, m, n, structure):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main("report", write_scenario(tmp_path, _slant_global_delta(m, n, structure)))
+    assert (code, out, len(err.splitlines())) == (2, "", 1), err
+    assert json.loads(err)["error"] == "NonFinite"
+
+
+@pytest.mark.parametrize("m, n, structure", _SLANT_NEAR_LIMIT[:2])
+def test_plane_infimum_raises_non_finite_before_any_eigensolver(m, n, structure):
+    point, _, _ = assemble(_slant_global_delta(m, n, structure))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            minimize_sectional_plane(point)
+
+
+_LARGE_IDENTITY = {"ambient": {"m": 4}, "structure": {"preset": "s_space_form", "c": 2.0},
+                   "frame": {"mode": "anti_invariant", "n": 4},
+                   "sigma": {"coeffs": [[1, 1, 1, 1e9], [1, 2, 3, 1.0]]},
+                   "checks": [{"name": "scalar_identity"}]}
+
+
+def test_scalar_identity_is_measured_against_its_largest_term(tmp_path, monkeypatch):
+    # (n+2)^2 |H|^2 and |sigma|^2 are 1e18 and cancel in both sides
+    code, out, _ = run_main("report", write_scenario(tmp_path, _LARGE_IDENTITY))
+    record = json.loads(out)["checks"][0]
+    assert code == 0 and record["passed"] and record["equality"]
+    assert record["diagnostics"]["abs_diff"] > 1.0  # rounding of 1e18-sized terms
+    # an O(1) error at O(1) coefficients still fails
+    scenario = copy.deepcopy(_LARGE_IDENTITY)
+    scenario["sigma"]["coeffs"][0][3] = 1.0
+    identity = scenario_module.scalar_identity_check
+    monkeypatch.setattr(scenario_module, "scalar_identity_check",
+                        lambda point: dataclasses.replace(identity(point), abs_diff=1.0))
+    code, out, _ = run_main("report", write_scenario(tmp_path, scenario))
+    record = json.loads(out)["checks"][0]
+    assert code == 1 and not record["passed"] and not record["equality"]
 
 
 def test_global_delta_beyond_the_search_cap_exits_2(tmp_path):

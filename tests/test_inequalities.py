@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import tracemalloc
 
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gssf as G
+from gssf import cli
 from gssf.inequalities import (_bivector, _c_form_slack_form, _curvature_operator,
                                _four_form, _isotropic_plane, _off_plane_t_norm, _plane_form, _plane_k,
                                _plane_search, _search_starts, _thorpe)
@@ -564,14 +568,30 @@ def test_global_delta_needs_planes():
         G.global_delta_bounds(point)
 
 
-def test_search_round_cap_raises(monkeypatch):
-    cfg = G.GeneratorConfig(seed=9, n=5, m=5, constraint="none")
-    point = G.random_instance(cfg)
+def test_search_round_cap_returns_an_open_bracket(monkeypatch, tmp_path):
+    point = G.random_instance(G.GeneratorConfig(seed=9, n=5, m=5, constraint="none"))
     monkeypatch.setattr("gssf.inequalities._MAX_ROUNDS", 0)
-    with pytest.raises(G.SearchDidNotConverge) as info:
-        G.minimize_sectional_plane(point)
-    assert info.value.best_value is not None
-    assert info.value.best_pair is not None
+    result = G.minimize_sectional_plane(point)
+    assert result.certificate == "none" and result.lower <= result.upper
+    # the best start plane's K: an upper bound on inf K, though nothing converged
+    e_l = point.tangent.matrix[:5]
+    a, b = result.a @ e_l, result.b @ e_l
+    assert abs(result.upper - G.induced_curvature(point, a, b, b, a)) <= 1e-12
+    q = np.linalg.qr(np.random.default_rng(53).normal(size=(50, 5, 2)))[0]
+    k = _plane_k(point.functions, point.phi[:5, :5], point.sff.coeffs[:, :5, :5],
+                 q[:, :, 0], q[:, :, 1])
+    assert result.lower <= k.min()
+    # a report on an uncertified bracket exits on its verdict, not as an input error
+    scenario = {"ambient": {"m": 6}, "structure": {"preset": "s_space_form", "c": 1.0},
+                "frame": {"mode": "anti_invariant", "n": 5},
+                "sigma": {"constraint": "none", "seed": 9}, "checks": [{"name": "global_delta"}]}
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(scenario))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["report", str(path)])
+    assert code in (0, 1) and err.getvalue() == ""
+    assert json.loads(out.getvalue())["checks"][0]["diagnostics"]["certificate"] == "none"
 
 
 def _random_l_pair(point, rng):
@@ -698,18 +718,26 @@ def test_small_n_infimum_matches_the_search_without_running_it():
         assert result.lower <= searched + 1e-12 * max(1.0, abs(searched))  # K to rounding
 
 
-def test_open_thorpe_bracket_falls_back_to_the_search(monkeypatch):
+def test_open_thorpe_bracket_reports_none_at_thorpes_plane(monkeypatch):
+    solved = {}
+
     def loose(*args):
-        upper, lower, a, b = _thorpe(*args)
-        return upper + 1.0, lower - 1.0, a, b
+        solved["upper"], lower, solved["a"], solved["b"] = _thorpe(*args)
+        return solved["upper"], lower - 1.0, solved["a"], solved["b"]
 
     monkeypatch.setattr("gssf.inequalities._thorpe", loose)
     point = G.random_instance(G.GeneratorConfig(seed=9, n=4, m=4))
     result = G.minimize_sectional_plane(point)
-    searched, _, a, b = _plane_search(point.functions, point.phi[:4, :4], point.sff.coeffs[:, :4, :4])
-    assert (result.upper, result.certificate) == (searched, "none")
-    assert np.array_equal(result.a, a) and np.array_equal(result.b, b)
-    assert result.lower < result.upper - 0.5
+    assert result.certificate == "none" and result.upper == solved["upper"]
+    assert result.a is solved["a"] and result.b is solved["b"]
+    # still a sound bracket: K at Thorpe's plane above, the loosened bound below
+    e_l = point.tangent.matrix[:4]
+    a, b = result.a @ e_l, result.b @ e_l
+    assert abs(result.upper - G.induced_curvature(point, a, b, b, a)) <= 1e-12
+    q = np.linalg.qr(np.random.default_rng(59).normal(size=(50, 4, 2)))[0]
+    k = _plane_k(point.functions, point.phi[:4, :4], point.sff.coeffs[:, :4, :4],
+                 q[:, :, 0], q[:, :, 1])
+    assert result.lower < result.upper - 0.5 and result.lower <= k.min()
 
 
 def test_kkt_certificate_holds_no_dense_four_form_stack():
