@@ -9,16 +9,17 @@ keys keep insertion order.  Parsing uses the standard library.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite numbers")
-    text = format(float(x), ".17g")
-    if not any(ch in text for ch in ".eE"):
+    text = format(x, ".17g")
+    if "." not in text and "e" not in text:
         text += ".0"
     return text
 

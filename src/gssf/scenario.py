@@ -9,6 +9,7 @@ conventions of the underlying geometry; the Python API is 0-based.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -148,19 +149,59 @@ def load_scenario(path: str) -> dict:
     return data
 
 
+def _bulk_items_valid(data) -> bool:
+    # One plain pass over the two bulk arrays, in place of jsonschema's
+    # descent into every entry.  False when any frame vector row or
+    # coefficient quadruple breaks its item schema.  A missing or
+    # mistyped container is left for the schema to report, with the
+    # schema's own isinstance tests, so that no array it descends into
+    # goes unchecked here.  Entries need exact types: bool, numpy
+    # scalars and the like go to the full schema.
+    frame = data.get("frame") if isinstance(data, dict) else None
+    sigma = data.get("sigma") if isinstance(data, dict) else None
+    vectors = frame.get("vectors") if isinstance(frame, dict) else None
+    coeffs = sigma.get("coeffs") if isinstance(sigma, dict) else None
+    if isinstance(vectors, list):
+        for row in vectors:
+            if type(row) is not list:
+                return False
+            for x in row:
+                if type(x) not in (int, float):
+                    return False
+    if isinstance(coeffs, list):
+        for quad in coeffs:
+            if type(quad) is not list or len(quad) != 4:
+                return False
+            r, i, j, value = quad
+            if (type(r) is not int or type(i) is not int or type(j) is not int
+                    or r < 1 or i < 1 or j < 1
+                    or type(value) not in (int, float)):
+                return False
+    return True
+
+
 @functools.cache
-def _schema_validator():
+def _schema_validator(full: bool):
     # jsonschema loads here, not at import, so that commands which never
     # read a scenario (fuzz, the library) do not pay for it.  The schema
     # is a constant that a test checks against the meta-schema once.
     # "integer" is narrowed to integer literals: the draft also admits
-    # 2.0 or 1e308, which are no index, size or seed.
+    # 2.0 or 1e308, which are no index, size or seed.  The light
+    # validator (not ``full``) checks ``vectors`` and ``coeffs`` only to
+    # be arrays, and none of their entries.  It runs on documents that
+    # ``_bulk_items_valid`` passed, where the item schemas it drops add
+    # no error, so both validators give the same error list.
     from jsonschema import Draft202012Validator, validators
 
     integers = Draft202012Validator.TYPE_CHECKER.redefine(
         "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
     strict = validators.extend(Draft202012Validator, type_checker=integers)
-    return strict(SCENARIO_SCHEMA)
+    if full:
+        return strict(SCENARIO_SCHEMA)
+    light = copy.deepcopy(SCENARIO_SCHEMA)
+    light["properties"]["frame"]["properties"]["vectors"] = {"type": "array"}
+    light["properties"]["sigma"]["properties"]["coeffs"] = {"type": "array"}
+    return strict(light)
 
 
 def validate_scenario(data: dict):
@@ -168,7 +209,8 @@ def validate_scenario(data: dict):
     schema cannot express; raises ``SchemaViolation`` or ``BadConfig``."""
     from jsonschema.exceptions import best_match
 
-    error = best_match(_schema_validator().iter_errors(data))
+    validator = _schema_validator(full=not _bulk_items_valid(data))
+    error = best_match(validator.iter_errors(data))
     if error is not None:
         raise SchemaViolation(error.message) from error
     structure = data["structure"]

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, validators
+from jsonschema.exceptions import best_match
 
-from gssf import (DEFAULT, MAX_M, NonFinite, SchemaViolation, ShapeOperatorForm, canonical_model,
+from gssf import (DEFAULT, MAX_M, BadConfig, NonFinite, SchemaViolation, ShapeOperatorForm, canonical_model,
                   cli, equality_instance, minimize_sectional_plane, preset_structure_functions)
 from gssf import scenario as scenario_module
 from gssf.jsonutil import dumps
@@ -519,6 +520,11 @@ def test_scenario_schema_is_valid():
     _with(["checks"], [{"name": "ricci_bound", "u": "some"}]),
     _with(["sigma"], {"constraint": "none", "seed": -1}),   # negative seed
     _with(["checks"], [{"name": "validate_ambient"}]),      # removed check kind
+    _with(["sigma", "coeffs"], [[True, 1, 1, 0.5]]),        # bool as an index
+    _with(["sigma", "coeffs"], [[1, 0, 1, 0.5]]),           # index below 1
+    _with(["sigma", "coeffs"], [[1, 1, 1, 0.5, 2]]),        # coeffs entry too long
+    _with(["frame"], {"mode": "explicit", "vectors": [[1, 0, 0, 0, "x", 0]]}),
+    {**_with(["sigma", "coeffs"], [[1, 0, 1, 0.5]]), "surprise": True},  # shallower wins
 ])
 def test_schema_violation_detail_matches_jsonschema(tmp_path, scenario):
     with pytest.raises(jsonschema.ValidationError) as raised:
@@ -636,3 +642,59 @@ def test_report_exit_contract_on_mutated_scenarios(tmp_path_factory, scenario):
     assert "Traceback" not in err
     if code == 2:
         assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+
+
+_STRICT_VALIDATOR = validators.extend(
+    Draft202012Validator,
+    type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)),
+)(SCENARIO_SCHEMA)
+_BULK_VALUES = (True, None, 0, -1, 1.0, "x", [], {}, 10**30, 1e308)
+
+
+@st.composite
+def bulk_mutants(draw):
+    """_EXPLICIT_SCENARIO with one or two of its frame vector entries or
+    rows, coeffs quadruples, bulk arrays or top-level keys mutated."""
+    scenario = copy.deepcopy(_EXPLICIT_SCENARIO)
+    frame, sigma = scenario["frame"], scenario["sigma"]
+    bulk = st.sampled_from(_BULK_VALUES)
+    for _ in range(draw(st.integers(1, 2))):
+        site = draw(st.sampled_from(("entry", "row", "quadruple", "length", "array", "key")))
+        rows = frame.get("vectors")
+        row = rows[0] if type(rows) is list and rows else None
+        if site == "entry" and type(row) is list and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(bulk)
+        elif site == "row" and type(rows) is list and rows:
+            rows[draw(st.integers(0, len(rows) - 1))] = draw(bulk)
+        elif site in ("quadruple", "length") and type(sigma.get("coeffs")) is list:
+            quad = [draw(st.integers(1, 3)) for _ in range(3)] + [0.5]
+            if site == "quadruple":
+                quad[draw(st.integers(0, 3))] = draw(bulk)
+            else:
+                quad = (quad + [1])[:draw(st.sampled_from((3, 5)))]
+            sigma["coeffs"].append(quad)
+        elif site == "array":
+            section, key = draw(st.sampled_from(((frame, "vectors"), (sigma, "coeffs"))))
+            section[key] = draw(bulk)
+        elif site == "key":
+            key = draw(st.sampled_from(sorted(scenario) + ["surprise"]))
+            if key in scenario and draw(st.booleans()):
+                del scenario[key]
+            else:
+                scenario[key] = draw(bulk)
+    return scenario
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scenario=bulk_mutants())
+def test_bulk_item_pass_matches_the_full_schema(scenario):
+    expected = best_match(_STRICT_VALIDATOR.iter_errors(scenario))
+    try:
+        validate_scenario(scenario)
+        detail = None
+    except SchemaViolation as error:
+        detail = str(error)
+    except BadConfig:
+        detail = None
+    assert detail == (None if expected is None else expected.message)

@@ -53,3 +53,17 @@ def test_non_finite_rejected():
 def test_unserializable_rejected():
     with pytest.raises(TypeError):
         dumps({"bad": object()})
+
+
+@pytest.mark.parametrize("value, text", [
+    (1e16, "10000000000000000.0"),
+    (-0.0, "-0.0"),
+    (5e-324, "4.9406564584124654e-324"),
+    (1.7976931348623157e308, "1.7976931348623157e+308"),
+    (np.float32(0.1), "0.10000000149011612"),
+    (np.array([[1.0, -0.5], [2, 1e16]]),
+     "[\n  [\n    1.0,\n    -0.5\n  ],\n  [\n    2.0,\n    10000000000000000.0\n  ]\n]"),
+    (np.str_("x"), '"x"'),
+])
+def test_emitted_bytes_are_pinned(value, text):
+    assert dumps(value) == text + "\n"
