@@ -138,18 +138,18 @@ def project(x, onto: Basis) -> Vec:
     return onto.matrix.T @ (onto.matrix @ v)
 
 
-def complete_basis(existing: np.ndarray, count: int, candidates: np.ndarray | None = None) -> np.ndarray:
+def complete_basis(existing: np.ndarray, count: int) -> np.ndarray:
     """Extend orthonormal rows by ``count`` new orthonormal rows.
 
-    Candidates default to the standard basis; at each step the candidate
-    with the largest residual against the span built so far is taken, so
-    the completion is deterministic and numerically well conditioned.
+    At each step the standard basis vector with the largest residual
+    against the span built so far is taken, so the completion is
+    deterministic and numerically well conditioned.
     """
     rows = np.array(existing, dtype=float)
     if rows.ndim != 2:
         raise BadShape("existing rows must form a 2-D array")
     dim = rows.shape[1]
-    cands = np.eye(dim) if candidates is None else np.array(candidates, dtype=float)
+    cands = np.eye(dim)
     acc = np.empty((rows.shape[0] + count, dim))
     acc[: rows.shape[0]] = rows
     filled = rows.shape[0]

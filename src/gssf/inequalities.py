@@ -111,8 +111,8 @@ class ShapeMatchResult:
 class GlobalDeltaReport:
     """The sign-split plane bound.  ``bound`` is decided on ``inf_k``, K at
     ``argmin_plane``; ``inf_k_lower`` <= inf K <= ``inf_k`` is the lower end
-    of the bracket, certified as ``certificate`` says (see
-    :class:`PlaneInfimum`)."""
+    of the dual ascent's bracket, an eigenvalue of R plus 4-forms,
+    certified as ``certificate`` says (see :class:`PlaneInfimum`)."""
 
     branch: str  # "f2_nonneg" | "f2_neg"
     bound: BoundReport
@@ -518,7 +518,7 @@ def _best_partner(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
     m = _plane_form(f.f2, phi_l, s_l, y)
     peak = np.max(np.abs(m), axis=(1, 2))
     if not peak.max() < 1e307:  # the lift would overflow (or M holds a NaN)
-        raise NonFinite("the plane-curvature form is too large to shift for the search")
+        raise NonFinite("the plane-curvature form is too large to shift for a block step")
     shift = peak * 10.0 + 1.0
     vals, vecs = np.linalg.eigh(m + shift[:, None, None] * (y[:, :, None] * y[:, None, :]))
     x = vecs[:, :, 0]
@@ -551,9 +551,6 @@ def _bivector_layout(n: int):
     return layout
 
 
-_PLUECKER_SIGNS = np.array([1.0, -1.0, 1.0])
-
-
 def _curvature_operator(f: StructureFunctions, phi: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The curvature operator of L on Lambda^2 L in the basis e_i ^ e_j, i < j:
     R_(ij),(kl) = F1 delta + 3 F2 phi_ij phi_kl + sum_r sigma_r,ik sigma_r,jl - sigma_r,il sigma_r,jk.
@@ -568,17 +565,6 @@ def _curvature_operator(f: StructureFunctions, phi: np.ndarray, s: np.ndarray) -
     r += (3.0 * f.f2) * np.outer(p, p)
     r[np.diag_indices_from(r)] += f.f1
     return r
-
-
-def _four_form(n: int, t: np.ndarray) -> np.ndarray:
-    """sum_k t_k W_k on Lambda^2 L, scattered from each 4-subset's three
-    Pluecker pairs.  Every 4-form vanishes on decomposable bivectors, so
-    lambda_min(R + sum_k t_k W_k) <= inf K for every t."""
-    _, _, left, right = _bivector_layout(n)
-    size = n * (n - 1) // 2
-    w = np.zeros((size, size))
-    w[left, right] = t[:, None] * _PLUECKER_SIGNS
-    return w + w.T
 
 
 def _bivector(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -597,179 +583,128 @@ def _bivector_plane(v: np.ndarray, n: int):
     return u[:, 0], u[:, 1]
 
 
+#: the relative gap at which an upper and a lower value on inf K count as
+#: closed (also the least relative gain that keeps the block steps going),
+#: the caps on the ascent's barrier levels and on Newton steps per level,
+#: and the largest n bracketed (the 4-form stack holds C(n, 4) + 1
+#: matrices of (n(n - 1)/2)^2 entries)
+_IMPROVEMENT_TOL = 1e-10
+_BARRIER_LEVELS = 12
+_NEWTON_STEPS = 50
+_MAX_PLANE_N = 10
+
+
 def _closed(upper: float, lower: float) -> bool:
-    """Whether a bracket on inf K is certified: its relative gap is at most
-    the search's own convergence test."""
+    """Whether a bracket on inf K is certified: its gap is at most
+    ``_IMPROVEMENT_TOL`` relative to max(1, |upper|)."""
     return upper - lower <= _IMPROVEMENT_TOL * max(1.0, abs(upper))
 
 
-def _isotropic_plane(vecs: np.ndarray, star: np.ndarray, n: int):
-    """The plane of a bivector in the span of the two lowest eigenvectors
-    ``vecs[:, :2]`` on which the 4-form ``star`` vanishes: the lowest
-    one, moved towards the second when ``star`` is indefinite on their
-    span (at a kink of lambda_min the bottom eigenspace is that span)."""
-    v0, v1 = vecs[:, 0], vecs[:, 1]
-    q00, q01, q11 = v0 @ star @ v0, v0 @ star @ v1, v1 @ star @ v1
-    disc = q01 * q01 - q00 * q11
-    if disc > 0.0:  # the smaller root x of q00 + 2 q01 x + q11 x^2 = 0
-        v0 = v0 - q00 / (q01 + math.copysign(math.sqrt(disc), q01)) * v1
-    return _bivector_plane(v0, n)
-
-
-def _thorpe(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray, r: np.ndarray):
-    """Thorpe's bound for n <= 4: maximize the concave
-    g(t) = lambda_min(R + t star) over t, where star is the one 4-form
-    at n = 4 and zero at n = 3 (every bivector is then decomposable).
-
-    Its slope at t is v . star . v for the lowest eigenvector v; at the
-    maximum the bottom eigenspace holds a decomposable bivector, whose
-    plane attains inf K = max g.  Each probe takes that plane's K as an
-    upper value and g(t) as a lower one, and the solve stops once they
-    close.  The step is Newton's on the slope, with the second-order
-    eigenvalue perturbation as its derivative, inside a bracket kept by
-    the slope's sign; a step that leaves the bracket or shrinks by less
-    than half over two steps is replaced by bisection.  |t| beyond
-    2 (lambda_max(R) - lambda_min(R)) + 1 cannot be the maximum, since
-    star has eigenvalues +-1.  Returns (upper, lower, a, b).
-    """
-    n = len(phi_l)
-    star = _four_form(n, np.ones(math.comb(n, 4)))
-    t, lo, hi = 0.0, -math.inf, math.inf
-    last = older = math.inf
-    upper, lower, plane = math.inf, -math.inf, None
-    while True:
-        vals, vecs = np.linalg.eigh(r + t * star)
-        lower = max(lower, float(vals[0]))
-        a, b = _isotropic_plane(vecs, star, n)
-        k = float(_plane_k(f, phi_l, s_l, a[None, :], b[None, :])[0])
-        if plane is None or k < upper:
-            upper, plane = k, (a, b)
-        if _closed(upper, lower):
-            break
-        if lo == -math.inf:  # the first probe, at t = 0
-            hi = 2.0 * float(vals[-1] - vals[0]) + 1.0
-            lo = -hi
-        star_v = star @ vecs[:, 0]
-        slope = vecs[:, 0] @ star_v
-        if slope > 0.0:
-            lo = t
-        elif slope < 0.0:
-            hi = t
-        else:  # isotropic (or NaN): no direction left to move in
-            break
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # bisect instead
-            curvature = -2.0 * np.sum((vecs[:, 1:].T @ star_v) ** 2 / (vals[1:] - vals[0]))
-            newton = slope / curvature
-        if lo < t - newton < hi and abs(newton) <= 0.5 * older:
-            step = float(newton)
-        else:
-            step = t - 0.5 * (lo + hi)
-        older, last = last, abs(step)
-        if t - step in (t, lo, hi):  # the bracket is down to adjacent doubles
-            break
-        t -= step
-    return upper, lower, *plane
-
-
-def _kkt_bound(r: np.ndarray, value: float, a: np.ndarray, b: np.ndarray) -> float:
-    """A lower bound on inf K from a converged plane a ^ b of value K.
-
-    The multipliers t of its KKT system (R - K I) v + sum_k t_k W_k v = 0
-    come from least squares: the least-norm solution of the normal
-    equations, whose matrix is scattered from the six entries of each
-    column W_k v, so no 4-form is held densely.  lambda_min(R + sum_k
-    t_k W_k) bounds inf K for any t, and equals K when t certifies it.
-    """
-    n = len(a)
-    _, _, left, right = _bivector_layout(n)
-    v = _bivector(a, b)
-    rows = np.concatenate([left, right], axis=1)
-    entries = np.tile(_PLUECKER_SIGNS, 2) * v[np.concatenate([right, left], axis=1)]
-    gram = np.zeros((len(v), len(v)))
-    np.add.at(gram, (rows[:, :, None], rows[:, None, :]), entries[:, :, None] * entries[:, None, :])
-    y = np.linalg.lstsq(gram, value * v - r @ v, rcond=None)[0]
-    t = np.sum(entries * y[rows], axis=1)
-    return float(np.linalg.eigvalsh(r + _four_form(n, t))[0])
-
-
-#: the plane search: seeded random starts beside the L-frame pairs, the
-#: least gain in K per round that keeps a start going (also the relative
-#: gap at which an upper and a lower value count as closed), the round
-#: cap, and the largest n searched (n(n-1)/2 + 20 starts, each n x n arrays)
-_RANDOM_STARTS = 20
-_SEARCH_SEED = 0
-_IMPROVEMENT_TOL = 1e-10
-_MAX_ROUNDS = 10_000
-_MAX_SEARCH_N = 32
-
-
 @functools.cache
-def _search_starts(n: int):
-    """The search's starting planes (a, b) at dimension n, read-only: every
-    L-frame pair in lexicographic order, then the seeded random pairs."""
-    rng = np.random.default_rng(_SEARCH_SEED)
-    random_q = [np.linalg.qr(rng.normal(size=(n, 2)))[0] for _ in range(_RANDOM_STARTS)]
-    starts = tuple(np.vstack([np.eye(n)[frame], [q[:, k] for q in random_q]])
-                   for k, frame in enumerate(np.triu_indices(n, 1)))
-    for array in starts:  # shared by every search at n
-        array.setflags(write=False)
-    return starts
+def _form_stack(n: int) -> np.ndarray:
+    """The 4-forms W_k on Lambda^2 L, one per 4-subset, then -I, read-only.
+
+    W_k is scattered from its subset's three Pluecker pairs.  Every 4-form
+    vanishes on decomposable bivectors, so lambda_min(R + sum_k t_k W_k)
+    <= inf K for every t.
+    """
+    _, _, left, right = _bivector_layout(n)
+    size = n * (n - 1) // 2
+    stack = np.zeros((len(left) + 1, size, size))
+    rows = np.arange(len(left))[:, None]
+    stack[rows, left, right] = stack[rows, right, left] = (1.0, -1.0, 1.0)  # Pluecker signs
+    stack[-1] = -np.eye(size)
+    stack.setflags(write=False)
+    return stack
 
 
-def _plane_search(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
-                  r: np.ndarray | None = None):
-    """Multi-start alternating minimization of K over planes in L.
+def _dual_ascent(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray, r: np.ndarray):
+    """Bracket inf K by the semidefinite program max lambda subject to
+    S = R + sum_k t_k W_k - lambda I >= 0, on its log-det barrier.
 
-    Starts at every L-frame pair plus seeded random pairs, and repeatedly
-    replaces one plane vector by the exact minimizer in the other's
-    orthogonal complement until a full round improves less than
-    ``_IMPROVEMENT_TOL`` or ``_MAX_ROUNDS`` rounds have run.  Given the
-    curvature operator ``r``, the lower value starts at lambda_min(r),
-    each converged best start raises it by its KKT bound, and the search
-    stops once the two close; without ``r`` it stays -inf.  Returns
-    (value, lower, a, b): the value is F1 plus the smallest eigenvalue of
-    the plane form, K of the returned plane to rounding, so an upper
-    bound on inf K even when the round cap stops the search.
+    Each barrier level runs damped Newton on lambda / mu + log det S in
+    x = (t, lambda), for R scaled by a power of two so that S is of order
+    one (unscaled, the Newton system of an R near 1e200 underflows), then
+    shrinks mu by 200.  The lower value is lambda_min(R + sum_k t_k W_k)
+    at the level's t, never the barrier's lambda, the upper one K at the
+    plane of its bottom eigenvector, and the ascent stops once they
+    close: at t = 0 already for n = 3, where every bivector is a plane.
+    It also stops once size * mu, the central path's duality gap in
+    units of R's scale, is below 1e-12: the bounds have nothing left to
+    gain in double precision, and S would turn singular to working
+    precision.  If the bracket is still open, as where no t makes the
+    relaxation tight, block steps from the best plane lower the upper
+    value.  Returns (upper, lower, a, b), with upper = ``_plane_k`` at
+    the plane (a, b).
     """
     n = len(phi_l)
-    a, b = (start.copy() for start in _search_starts(n))
-    values = _plane_k(f, phi_l, s_l, a, b)
-    active = np.ones(len(values), dtype=bool)
-    lower = -math.inf if r is None else float(np.linalg.eigvalsh(r)[0])
-    rounds, checked = 0, -1
-    while active.any() and rounds < _MAX_ROUNDS:
-        rounds += 1
-        idx = np.flatnonzero(active)
-        a_act, _ = _best_partner(f, phi_l, s_l, b[idx])
-        b_act, new_values = _best_partner(f, phi_l, s_l, a_act)
-        improvement = values[idx] - new_values
-        a[idx], b[idx] = a_act, b_act
-        values[idx] = new_values
-        active[idx] = improvement > _IMPROVEMENT_TOL
-        best = int(np.argmin(values))
-        if r is not None and not active[best] and best != checked:
-            checked = best
-            lower = max(lower, _kkt_bound(r, float(values[best]), a[best], b[best]))
-            if _closed(float(values[best]), lower):
+    size = len(r)
+    stack = _form_stack(n)
+    flat = stack.reshape(len(stack), -1)  # row i: A_i = W_i, then -I
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(r))))[1] - 1)
+
+    def probe(x):
+        with np.errstate(over="ignore"):  # rejected below
+            t = scale * x[:-1]
+        if not np.isfinite(t).all():
+            raise NonFinite("the plane infimum's dual ascent left the finite range")
+        vals, vecs = np.linalg.eigh(r + (t @ flat[:-1]).reshape(size, size))
+        a, b = _bivector_plane(vecs[:, 0], n)
+        v = _bivector(a, b)
+        return float(vals[0]), float(v @ r @ v), a, b
+
+    x = np.zeros(len(stack))
+    lower, upper, a, b = probe(x)
+    mu = (upper - lower + 1e-3 * max(1.0, abs(upper))) / scale
+    if not math.isfinite(mu):
+        raise NonFinite("the width of the plane infimum's first bracket is not finite")
+    x[-1] = lower / scale - mu
+    r_scaled = r / scale
+    for _ in range(_BARRIER_LEVELS):
+        if _closed(upper, lower) or size * mu <= 1e-12:
+            break
+        for _ in range(_NEWTON_STEPS):
+            z = np.linalg.inv(r_scaled + (x @ flat).reshape(size, size))
+            z_stack = z @ stack  # Z A_i, with Z = S^-1
+            grad = -(flat @ z.ravel())  # -tr(Z A_i)
+            grad[-1] -= 1.0 / mu
+            z_flat = z_stack.reshape(len(stack), -1)
+            hess = z_flat @ z_stack.transpose(0, 2, 1).reshape(len(stack), -1).T  # tr(Z A_i Z A_j)
+            step = np.linalg.solve(hess, -grad)
+            decrement = math.sqrt(max(0.0, float(-grad @ step)))
+            x += step / (1.0 + decrement) if decrement > 0.25 else step
+            if decrement < 0.5:
                 break
-    best = int(np.argmin(values))
-    return float(values[best]), lower, a[best], b[best]
+        mu *= 0.005
+        level_lower, k, level_a, level_b = probe(x)
+        lower = max(lower, level_lower)
+        if k < upper:
+            upper, a, b = k, level_a, level_b
+    upper = float(_plane_k(f, phi_l, s_l, a[None, :], b[None, :])[0])
+    while not _closed(upper, lower):
+        a_new, _ = _best_partner(f, phi_l, s_l, b[None, :])
+        b_new, _ = _best_partner(f, phi_l, s_l, a_new)
+        k = float(_plane_k(f, phi_l, s_l, a_new, b_new)[0])
+        if not upper - k > _IMPROVEMENT_TOL * max(1.0, abs(upper)):
+            break
+        upper, a, b = k, a_new[0], b_new[0]
+    return upper, lower, a, b
 
 
 class PlaneInfimum(NamedTuple):
     """A bracket lower <= inf K <= upper over planes in L, the kind of
     certificate behind ``lower`` and a plane (a, b), in L-frame
-    coordinates, at which K = ``upper`` to rounding.
+    coordinates, at which K = ``upper``.
 
     ``certificate`` is ``exact`` (n <= 3: every bivector is decomposable,
     so lambda_min of the curvature operator is inf K), ``thorpe`` (n = 4:
-    Thorpe's max over t of lambda_min(R + t star)), ``kkt`` (n >= 5: the
-    multipliers of the search's converged argmin), or ``none``, when the
-    bracket did not close to ``_IMPROVEMENT_TOL`` relative: Thorpe's solve
-    stopped at a zero slope or a bracket of adjacent doubles, no converged
-    best start had KKT multipliers that certify it, or the search hit
-    ``_MAX_ROUNDS``.  ``lower`` is then the best of the bounds tried, and
-    ``upper`` is still K at (a, b).
+    the one multiplier t of the ascent is Thorpe's max over t of
+    lambda_min(R + t star)), ``kkt`` (n >= 5: the ascent's multipliers t
+    of the 4-forms), or ``none``, when the bracket did not close to
+    ``_IMPROVEMENT_TOL`` relative: ``_BARRIER_LEVELS`` levels of the
+    ascent and the block steps after them left a gap, as where no t makes
+    the relaxation tight.  ``lower`` is then the best lambda_min(R +
+    sum_k t_k W_k) the ascent reached, and ``upper`` is still K at (a, b).
     """
 
     upper: float
@@ -785,19 +720,17 @@ def minimize_sectional_plane(point: SubmanifoldPoint) -> PlaneInfimum:
     Every 4-form vanishes on decomposable bivectors, so lambda_min of the
     curvature operator R on Lambda^2 L plus any sum of 4-forms is a lower
     bound; the upper value is K at a plane.  At n = 2 L is the only plane.
-    At n = 3 and 4 the plane comes from the bottom eigenspace of Thorpe's
-    maximizer and no search runs.  At n >= 5 the multi-start search gives
-    the upper value, and the KKT multipliers of its converged best start
-    the lower one; it stops as soon as they close.  The upper value
-    decides the plane bound; the argmin is for diagnosis.  n is capped at
-    ``_MAX_SEARCH_N``, since the starts grow as n^4 in memory; an operator
+    At n >= 3 one dual ascent over the 4-form multipliers gives both (see
+    ``_dual_ascent``).  The upper value decides the plane bound; the
+    argmin is for diagnosis.  n is capped at ``_MAX_PLANE_N``, since the
+    4-form stack and the Newton system grow as n^6 to n^8; an operator
     that overflows raises ``NonFinite`` before any eigensolver sees it.
     """
     n = point.n
     if n < 2:
         raise BadShape("planes in L need n >= 2")
-    if n > _MAX_SEARCH_N:
-        raise BadShape(f"the plane search is capped at n <= {_MAX_SEARCH_N}, got n = {n}")
+    if n > _MAX_PLANE_N:
+        raise BadShape(f"the plane infimum is capped at n <= {_MAX_PLANE_N}, got n = {n}")
     f = point.functions
     phi_l = point.phi[:n, :n]
     s_l = point.sff.coeffs[:, :n, :n]
@@ -811,14 +744,8 @@ def minimize_sectional_plane(point: SubmanifoldPoint) -> PlaneInfimum:
         r = _curvature_operator(f, phi_l, s_l)
     if not np.isfinite(r).all():
         raise NonFinite("the curvature operator on Lambda^2 L is not finite")
-    if n <= 4:
-        kind = "exact" if n == 3 else "thorpe"
-        upper, lower, a, b = _thorpe(f, phi_l, s_l, r)
-    else:
-        kind = "kkt"
-        upper, lower, a, b = _plane_search(f, phi_l, s_l, r)
-    if not _closed(upper, lower):
-        kind = "none"
+    upper, lower, a, b = _dual_ascent(f, phi_l, s_l, r)
+    kind = {3: "exact", 4: "thorpe"}.get(n, "kkt") if _closed(upper, lower) else "none"
     # K at a plane bounds inf K from above, so a lower value beyond it is rounding
     return PlaneInfimum(upper, min(lower, upper), kind, a, b)
 

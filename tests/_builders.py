@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 import gssf as G
-from gssf.inequalities import _ricci_defect_terms
+from gssf.inequalities import _best_partner, _plane_k, _ricci_defect_terms
 
 
 def spot_point():
@@ -60,3 +60,35 @@ def random_unit_l(point, rng):
     coeffs = rng.normal(size=point.n)
     coeffs /= np.linalg.norm(coeffs)
     return coeffs @ point.tangent.matrix[: point.n]
+
+
+def reference_plane_search(point):
+    """inf K over planes in L from a multi-start block descent that never
+    reads the curvature operator: an independent upper value for the
+    bracket of ``minimize_sectional_plane``.
+
+    Starts at every L-frame pair plus 20 random pairs (seed 0), and
+    repeatedly replaces one plane vector by the exact minimizer in the
+    other's orthogonal complement until a full round improves less than
+    1e-10 or 10 000 rounds have run.  Returns (value, a, b) in L-frame
+    coordinates, value = K at (a, b) to rounding.
+    """
+    n = point.n
+    f, phi_l, s_l = point.functions, point.phi[:n, :n], point.sff.coeffs[:, :n, :n]
+    rng = np.random.default_rng(0)
+    random_q = [np.linalg.qr(rng.normal(size=(n, 2)))[0] for _ in range(20)]
+    a, b = (np.vstack([np.eye(n)[frame], [q[:, k] for q in random_q]])
+            for k, frame in enumerate(np.triu_indices(n, 1)))
+    values = _plane_k(f, phi_l, s_l, a, b)
+    active = np.ones(len(values), dtype=bool)
+    for _ in range(10_000):
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        a_act, _ = _best_partner(f, phi_l, s_l, b[idx])
+        b_act, new_values = _best_partner(f, phi_l, s_l, a_act)
+        a[idx], b[idx] = a_act, b_act
+        active[idx] = values[idx] - new_values > 1e-10
+        values[idx] = new_values
+    best = int(np.argmin(values))
+    return float(values[best]), a[best], b[best]

@@ -21,6 +21,7 @@ from jsonschema.exceptions import best_match
 from gssf import (DEFAULT, MAX_M, BadConfig, NonFinite, SchemaViolation, ShapeOperatorForm, canonical_model,
                   cli, equality_instance, minimize_sectional_plane, preset_structure_functions)
 from gssf import scenario as scenario_module
+from gssf.inequalities import _MAX_PLANE_N
 from gssf.jsonutil import dumps
 from gssf.scenario import SCENARIO_SCHEMA, assemble, run_checks, validate_scenario
 
@@ -418,8 +419,12 @@ def test_coefficients_whose_squares_overflow_exit_2(tmp_path, check, value):
 
 _SLANT_NEAR_LIMIT = [
     (5, 4, {"values": [1e308, -1e308, 1, 1, 0, 0, 1]}),  # 3 F2 overflows into R
-    (7, 6, {"preset": "s_space_form", "c": 1e308}),  # the search's shift overflows
+    (7, 6, {"preset": "s_space_form", "c": 1e308}),  # tau overflows; the bracket closes
     (5, 4, {"preset": "s_space_form", "c": 1e308}),  # tau overflows
+]
+_PLANE_INFIMUM_NON_FINITE = [
+    _SLANT_NEAR_LIMIT[0],
+    (7, 6, {"values": [1e308, -3.5e307, 0, 0, 0, 0, 0]}),  # the t = 0 bracket's width overflows
 ]
 
 
@@ -438,13 +443,23 @@ def test_global_delta_near_the_float_limit_exits_2(tmp_path, m, n, structure):
     assert json.loads(err)["error"] == "NonFinite"
 
 
-@pytest.mark.parametrize("m, n, structure", _SLANT_NEAR_LIMIT[:2])
+@pytest.mark.parametrize("m, n, structure", _PLANE_INFIMUM_NON_FINITE)
 def test_plane_infimum_raises_non_finite_before_any_eigensolver(m, n, structure):
     point, _, _ = assemble(_slant_global_delta(m, n, structure))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite):
             minimize_sectional_plane(point)
+
+
+def test_plane_infimum_at_the_float_limit_closes_without_a_warning():
+    point, _, _ = assemble(_slant_global_delta(*_SLANT_NEAR_LIMIT[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = minimize_sectional_plane(point)
+    f1 = point.functions.f1  # 2.5e307
+    assert result.certificate == "kkt" and result.upper == f1
+    assert 0.0 <= result.upper - result.lower <= 1e-10 * f1
 
 
 _LARGE_IDENTITY = {"ambient": {"m": 4}, "structure": {"preset": "s_space_form", "c": 2.0},
@@ -471,8 +486,9 @@ def test_scalar_identity_is_measured_against_its_largest_term(tmp_path, monkeypa
 
 
 def test_global_delta_beyond_the_search_cap_exits_2(tmp_path):
-    scenario = {"ambient": {"m": 33}, "structure": {"preset": "s_space_form", "c": 1.0},
-                "frame": {"mode": "anti_invariant", "n": 33}, "sigma": {"coeffs": []},
+    n = _MAX_PLANE_N + 1
+    scenario = {"ambient": {"m": n}, "structure": {"preset": "s_space_form", "c": 1.0},
+                "frame": {"mode": "anti_invariant", "n": n}, "sigma": {"coeffs": []},
                 "checks": [{"name": "global_delta"}]}
     code, out, err = run_main("report", write_scenario(tmp_path, scenario))
     assert (code, out, json.loads(err)["error"]) == (2, "", "BadShape")

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,10 @@ from hypothesis import strategies as st
 
 import gssf as G
 from gssf import cli
-from gssf.inequalities import (_bivector, _c_form_slack_form, _curvature_operator,
-                               _four_form, _isotropic_plane, _off_plane_t_norm, _plane_form, _plane_k,
-                               _plane_search, _search_starts, _thorpe)
+from gssf.inequalities import (_MAX_PLANE_N, _bivector, _c_form_slack_form, _curvature_operator,
+                               _dual_ascent, _form_stack, _off_plane_t_norm, _plane_form, _plane_k)
 from _builders import (anti_invariant_point, frame_ricci_defects, invariant_point, random_unit_l,
-                       sff_with, spot_point)
+                       reference_plane_search, sff_with, spot_point)
 
 _CONSTRAINTS = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")
 
@@ -570,10 +570,10 @@ def test_global_delta_needs_planes():
 
 def test_search_round_cap_returns_an_open_bracket(monkeypatch, tmp_path):
     point = G.random_instance(G.GeneratorConfig(seed=9, n=5, m=5, constraint="none"))
-    monkeypatch.setattr("gssf.inequalities._MAX_ROUNDS", 0)
+    monkeypatch.setattr("gssf.inequalities._BARRIER_LEVELS", 0)
     result = G.minimize_sectional_plane(point)
     assert result.certificate == "none" and result.lower <= result.upper
-    # the best start plane's K: an upper bound on inf K, though nothing converged
+    # K at the best plane: an upper bound on inf K, though no level ran
     e_l = point.tangent.matrix[:5]
     a, b = result.a @ e_l, result.b @ e_l
     assert abs(result.upper - G.induced_curvature(point, a, b, b, a)) <= 1e-12
@@ -630,25 +630,22 @@ def test_search_value_is_k_at_its_plane_and_below_every_frame_pair():
         assert value <= point.sectional_matrix[pair_i, pair_j].min() + 1e-12
 
 
-def test_search_starts_are_cached_read_only_and_seeded_per_n():
+def test_form_stack_is_cached_read_only_and_the_bracket_deterministic():
     for n in (3, 6):
-        a, b = _search_starts(n)
-        assert _search_starts(n)[0] is a and not a.flags.writeable and not b.flags.writeable
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        assert np.array_equal(a[:len(pairs)], np.eye(n)[[i for i, _ in pairs]])
-        assert np.array_equal(b[:len(pairs)], np.eye(n)[[j for _, j in pairs]])
-        rng = np.random.default_rng(0)
-        for k in range(len(pairs), len(a)):
-            q, _ = np.linalg.qr(rng.normal(size=(n, 2)))
-            assert np.array_equal(a[k], q[:, 0]) and np.array_equal(b[k], q[:, 1])
+        stack = _form_stack(n)
+        assert _form_stack(n) is stack and not stack.flags.writeable
+        size = n * (n - 1) // 2
+        assert stack.shape == (math.comb(n, 4) + 1, size, size)
+        assert np.array_equal(stack[-1], -np.eye(size))
     point = G.random_instance(G.GeneratorConfig(seed=9, n=5, m=5))
     first, second = G.minimize_sectional_plane(point), G.minimize_sectional_plane(point)
-    assert first.upper == second.upper and np.array_equal(first.a, second.a)
+    assert first.upper == second.upper and first.lower == second.lower
+    assert np.array_equal(first.a, second.a)
 
 
 def test_search_beyond_the_size_cap_raises_before_building_starts(monkeypatch):
-    monkeypatch.setattr("gssf.inequalities._search_starts", None)  # must not be called
-    point = anti_invariant_point(n=33, m=33)
+    monkeypatch.setattr("gssf.inequalities._form_stack", None)  # must not be called
+    point = anti_invariant_point(n=_MAX_PLANE_N + 1, m=_MAX_PLANE_N + 1)
     with pytest.raises(G.BadShape):
         G.minimize_sectional_plane(point)
     with pytest.raises(G.BadShape):
@@ -658,30 +655,16 @@ def test_search_beyond_the_size_cap_raises_before_building_starts(monkeypatch):
 def test_four_forms_vanish_on_decomposable_bivectors():
     rng = np.random.default_rng(41)
     for n in range(4, 8):
-        count = math.comb(n, 4)
-        stack = [_four_form(n, np.eye(count)[k]) for k in range(count)]
+        stack = _form_stack(n)[:-1]
+        assert len(stack) == math.comb(n, 4)
         for w in stack:  # three +-1 pairs, symmetric
             assert np.array_equal(w, w.T) and np.sum(np.abs(w)) == 6.0 and w.sum() == 2.0
         for _ in range(10):
             q, _ = np.linalg.qr(rng.normal(size=(n, 2)))
             v = _bivector(q[:, 0], q[:, 1])
             assert max(abs(v @ w @ v) for w in stack) <= 1e-15
-    # the one 4-form at n = 4 has eigenvalues -1, -1, -1, 1, 1, 1, which bounds Thorpe's bracket
-    assert np.allclose(np.linalg.eigvalsh(_four_form(4, np.ones(1))), [-1, -1, -1, 1, 1, 1])
-
-
-def test_a_kink_gives_the_decomposable_combination_of_the_bottom_eigenvectors():
-    # at a kink of lambda_min(R + t star) the bottom eigenspace is spanned by
-    # two planes P+, P-; its eigenvectors P+ +- P- are not decomposable, and
-    # their nearest decomposable bivectors are neither plane
-    rng = np.random.default_rng(47)
-    star = _four_form(4, np.ones(1))
-    for _ in range(20):
-        planes = [_bivector(*np.linalg.qr(rng.normal(size=(4, 2)))[0].T) for _ in range(2)]
-        vecs = np.stack([planes[0] + planes[1], planes[0] - planes[1]], axis=1)
-        vecs /= np.linalg.norm(vecs, axis=0)
-        v = _bivector(*_isotropic_plane(vecs, star, 4))
-        assert min(np.linalg.norm(v - s * plane) for plane in planes for s in (1, -1)) <= 1e-12
+    # the one 4-form at n = 4 has eigenvalues -1, -1, -1, 1, 1, 1
+    assert np.allclose(np.linalg.eigvalsh(_form_stack(4)[0]), [-1, -1, -1, 1, 1, 1])
 
 
 def test_plane_infimum_lower_value_is_below_k_at_random_planes():
@@ -701,19 +684,19 @@ def test_plane_infimum_lower_value_is_below_k_at_random_planes():
             assert result.upper - result.lower <= 1e-10 * max(1.0, abs(result.upper))
         kinds.append(result.certificate)
     assert kinds[0::4] == ["exact"] * 6 and kinds[1::4] == ["thorpe"] * 6
-    assert (kinds[2::4] + kinds[3::4]).count("kkt") >= 6  # KKT closes most brackets at n >= 5
+    assert kinds[2::4] + kinds[3::4] == ["kkt"] * 12
 
 
 def test_small_n_infimum_matches_the_search_without_running_it():
+    kinds = {3: "exact", 4: "thorpe", 5: "kkt", 6: "kkt"}
     for trial in range(200):
-        n = 3 + trial % 2
+        n = 3 + trial % 4
         point = G.random_instance(G.GeneratorConfig(
-            seed=10_000 + trial, n=n, m=n + (trial // 2) % 2,
-            constraint=_CONSTRAINTS[(trial // 4) % 4]))
+            seed=10_000 + trial, n=n, m=n + (trial // 4) % 2,
+            constraint=_CONSTRAINTS[(trial // 8) % 4]))
         result = G.minimize_sectional_plane(point)
-        assert result.certificate == ("exact" if n == 3 else "thorpe")
-        searched, _, _, _ = _plane_search(point.functions, point.phi[:n, :n],
-                                          point.sff.coeffs[:, :n, :n])
+        assert result.certificate == kinds[n]
+        searched, _, _ = reference_plane_search(point)
         assert abs(result.upper - searched) <= 1e-10 * max(1.0, abs(searched))
         assert result.lower <= searched + 1e-12 * max(1.0, abs(searched))  # K to rounding
 
@@ -722,15 +705,15 @@ def test_open_thorpe_bracket_reports_none_at_thorpes_plane(monkeypatch):
     solved = {}
 
     def loose(*args):
-        solved["upper"], lower, solved["a"], solved["b"] = _thorpe(*args)
+        solved["upper"], lower, solved["a"], solved["b"] = _dual_ascent(*args)
         return solved["upper"], lower - 1.0, solved["a"], solved["b"]
 
-    monkeypatch.setattr("gssf.inequalities._thorpe", loose)
+    monkeypatch.setattr("gssf.inequalities._dual_ascent", loose)
     point = G.random_instance(G.GeneratorConfig(seed=9, n=4, m=4))
     result = G.minimize_sectional_plane(point)
     assert result.certificate == "none" and result.upper == solved["upper"]
     assert result.a is solved["a"] and result.b is solved["b"]
-    # still a sound bracket: K at Thorpe's plane above, the loosened bound below
+    # still a sound bracket: K at the ascent's plane above, the loosened bound below
     e_l = point.tangent.matrix[:4]
     a, b = result.a @ e_l, result.b @ e_l
     assert abs(result.upper - G.induced_curvature(point, a, b, b, a)) <= 1e-12
@@ -740,19 +723,30 @@ def test_open_thorpe_bracket_reports_none_at_thorpes_plane(monkeypatch):
     assert result.lower < result.upper - 0.5 and result.lower <= k.min()
 
 
-def test_kkt_certificate_holds_no_dense_four_form_stack():
-    n = 12
+def test_plane_infimum_at_the_size_cap_closes_within_16_mb():
+    n = _MAX_PLANE_N
     point = G.random_instance(G.GeneratorConfig(seed=3, n=n, m=n))
-    size = n * (n - 1) // 2
-    dense_stack = math.comb(n, 4) * size * size * 8  # bytes of a (C(n, 4), N, N) stack
+    _form_stack.cache_clear()  # the stack counts towards the peak
     tracemalloc.start()
     try:
         result = G.minimize_sectional_plane(point)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < dense_stack / 4
-    assert result.lower <= result.upper
+    assert peak < 16e6
+    assert result.certificate == "kkt"
+    assert result.upper - result.lower <= 1e-10 * max(1.0, abs(result.upper))
+
+
+@pytest.mark.parametrize("sigma_scale", [1e-150, 1e100])
+def test_plane_infimum_closes_at_any_scale_of_the_operator(sigma_scale):
+    # R ~ sigma^2: unscaled, the Newton system would underflow to a singular matrix
+    point = G.random_instance(G.GeneratorConfig(seed=7, n=5, m=5, sigma_scale=sigma_scale))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = G.minimize_sectional_plane(point)
+    assert result.certificate == "kkt"
+    assert result.upper - result.lower <= 1e-10 * max(1.0, abs(result.upper))
 
 
 def test_search_finds_known_minimum():
