@@ -735,15 +735,14 @@ def minimize_sectional_plane(point: SubmanifoldPoint) -> PlaneInfimum:
     phi_l = point.phi[:n, :n]
     s_l = point.sff.coeffs[:, :n, :n]
 
-    if n == 2:  # L is the only plane
-        a, b = np.eye(2)
-        value = float(_plane_k(f, phi_l, s_l, a[None, :], b[None, :])[0])
-        return PlaneInfimum(value, value, "exact", a, b)
-
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         r = _curvature_operator(f, phi_l, s_l)
     if not np.isfinite(r).all():
         raise NonFinite("the curvature operator on Lambda^2 L is not finite")
+    if n == 2:  # L is the only plane
+        a, b = np.eye(2)
+        value = float(_plane_k(f, phi_l, s_l, a[None, :], b[None, :])[0])
+        return PlaneInfimum(value, value, "exact", a, b)
     upper, lower, a, b = _dual_ascent(f, phi_l, s_l, r)
     kind = {3: "exact", 4: "thorpe"}.get(n, "kkt") if _closed(upper, lower) else "none"
     # K at a plane bounds inf K from above, so a lower value beyond it is rounding

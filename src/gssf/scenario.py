@@ -2,8 +2,8 @@
 
 A scenario is a JSON document describing one submanifold point (ambient
 size, structure functions, tangent frame, form coefficients) plus a
-list of checks to run on it.  Unknown fields are rejected by schema
-validation.  Indices in scenario files are 1-based, matching the frame
+list of checks to run on it.  Unknown fields are rejected, and so is a
+key on a check that does not read it.  Indices in scenario files are 1-based, matching the frame
 conventions of the underlying geometry; the Python API is 0-based.
 """
 
@@ -31,30 +31,131 @@ from .submanifold import (
     scalar_identity_check,
 )
 
+
+def _record(name: str, lhs=None, rhs=None, slack=None, equality=None,
+            passed=True, diagnostics=None) -> dict:
+    return {"name": name, "lhs": lhs, "rhs": rhs, "slack": slack, "equality": equality,
+            "passed": passed, "diagnostics": diagnostics or {}}
+
+
+def _bound_record(name: str, report, diagnostics: dict, tol: Tolerances) -> dict:
+    diag = dict(diagnostics)
+    if report.defect_terms is not None:
+        diag["defect_terms"] = [[k, v] for k, v in report.defect_terms]
+    return _record(name, lhs=report.lhs, rhs=report.rhs, slack=report.slack,
+                   equality=report.equality,
+                   passed=report.slack >= -tol.equality, diagnostics=diag)
+
+
+def _directions(check: dict, n: int) -> list[int]:
+    """The 1-based L-frame directions a Ricci check's ``u`` selects."""
+    selector = check.get("u", "all")
+    if selector == "all":
+        return list(range(1, n + 1))
+    if not 1 <= selector <= n:
+        raise BadConfig(f"u index {selector} outside 1..{n}")
+    return [selector]
+
+
+def _planes(check: dict, n: int) -> list[tuple[int, int]]:
+    """The 1-based L-frame pairs a plane check's ``plane`` selects."""
+    selector = check.get("plane", "all")
+    if selector == "all":
+        return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    i, j = selector
+    if not (1 <= i <= n and 1 <= j <= n and i != j):
+        raise BadConfig(f"plane ({i}, {j}) outside the L-frame 1..{n}")
+    return [(i, j)]
+
+
+def _scalar_identity(point: SubmanifoldPoint, check: dict, tol: Tolerances) -> list[dict]:
+    result = scalar_identity_check(point)
+    within = result.abs_diff <= tol.equality * result.scale
+    return [_record("scalar_identity", lhs=result.lhs, rhs=result.rhs,
+                    slack=result.rhs - result.lhs, equality=within, passed=within,
+                    diagnostics={"tau": point.tau, "abs_diff": result.abs_diff})]
+
+
+def _invariant_report(point: SubmanifoldPoint, check: dict, tol: Tolerances) -> list[dict]:
+    rep = invariant_report(point, tol)
+    diag = {key: getattr(rep, key) for key in
+            ("tau", "h_norm_sq", "sigma_norm_sq", "t_norm_sq", "n_norm_sq", "h_normal")}
+    diag.update(slant_kind=rep.slant.kind, slant_angle=rep.slant.angle)
+    return [_record("invariant_report", diagnostics=diag)]
+
+
+def _ricci_bound(point: SubmanifoldPoint, check: dict, tol: Tolerances) -> list[dict]:
+    variant = check.get("variant", "general")
+    frame = point.tangent.matrix
+    return [_bound_record(f"ricci_bound[{variant},u={u}]",
+                          ricci_bound(point, frame[u - 1], variant, tol),
+                          {"variant": variant, "u": u}, tol)
+            for u in _directions(check, point.n)]
+
+
+def _ricci_equality(point: SubmanifoldPoint, check: dict, tol: Tolerances) -> list[dict]:
+    records = []
+    for u in _directions(check, point.n):
+        diag = ricci_equality_diagnosis(point, point.tangent.matrix[u - 1], tol)
+        records.append(_record(
+            f"ricci_equality[u={u}]", passed=diag.consistent, equality=diag.equality,
+            diagnostics={"u": u, "in_null_space": diag.in_null_space,
+                         "consistent": diag.consistent},
+        ))
+    return records
+
+
+def _delta_bound(point: SubmanifoldPoint, check: dict, tol: Tolerances) -> list[dict]:
+    slant_mode = bool(check.get("slant_mode", False))
+    frame = point.tangent.matrix
+    return [_bound_record(f"delta_bound[{i},{j}]",
+                          delta_bound(point, frame[i - 1], frame[j - 1], slant_mode, tol),
+                          {"plane": [i, j], "slant_mode": slant_mode}, tol)
+            for i, j in _planes(check, point.n)]
+
+
+def _global_delta(point: SubmanifoldPoint, check: dict, tol: Tolerances) -> list[dict]:
+    report = global_delta_bounds(point, tol=tol)
+    diag = {"inf_k": report.inf_k, "inf_k_lower": report.inf_k_lower,
+            "certificate": report.certificate, **report.equality_diagnosis}
+    records = [_bound_record(f"global_delta[{report.branch}]", report.bound, diag, tol)]
+    if report.four_dim_slant is not None:
+        records.append(_bound_record("global_delta[four_dim_slant]",
+                                     report.four_dim_slant, {}, tol))
+    return records
+
+
+def _classify(point: SubmanifoldPoint, check: dict, tol: Tolerances) -> list[dict]:
+    return [_record("classify", diagnostics=classify_sff(point, tol).as_dict())]
+
+
 _NUMBER = {"type": "number"}
 _EXPECT = {
     "type": "object",
     "additionalProperties": {"type": ["number", "boolean", "string"]},
 }
+_U = {"anyOf": [{"type": "integer", "minimum": 1}, {"const": "all"}]}
+_PLANE = {"anyOf": [{"type": "array", "items": {"type": "integer", "minimum": 1},
+                      "minItems": 2, "maxItems": 2}, {"const": "all"}]}
+
+# Every scenario check, in the order of the schema's enum: the schema of
+# the keys it reads besides "name" and "expect", and its runner
+# (point, check, tol) -> records.  A key outside its entry is rejected.
+CHECKS = {
+    "scalar_identity": ({}, _scalar_identity),
+    "invariant_report": ({}, _invariant_report),
+    "ricci_bound": ({"variant": {"enum": ["general", "s_form", "c_form"]}, "u": _U},
+                    _ricci_bound),
+    "ricci_equality": ({"u": _U}, _ricci_equality),
+    "delta_bound": ({"plane": _PLANE, "slant_mode": {"type": "boolean"}}, _delta_bound),
+    "global_delta": ({}, _global_delta),
+    "classify": ({}, _classify),
+}
 _CHECK = {
     "type": "object",
     "properties": {
-        "name": {
-            "enum": [
-                "scalar_identity", "invariant_report", "ricci_bound",
-                "ricci_equality", "delta_bound", "global_delta", "classify",
-            ]
-        },
-        "variant": {"enum": ["general", "s_form", "c_form"]},
-        "u": {"anyOf": [{"type": "integer", "minimum": 1}, {"const": "all"}]},
-        "plane": {
-            "anyOf": [
-                {"type": "array", "items": {"type": "integer", "minimum": 1},
-                 "minItems": 2, "maxItems": 2},
-                {"const": "all"},
-            ]
-        },
-        "slant_mode": {"type": "boolean"},
+        "name": {"enum": list(CHECKS)},
+        **{key: fragment for keys, _ in CHECKS.values() for key, fragment in keys.items()},
         "expect": _EXPECT,
     },
     "required": ["name"],
@@ -205,8 +306,9 @@ def _schema_validator(full: bool):
 
 
 def validate_scenario(data: dict):
-    """Check a parsed scenario against the schema and the rules the
-    schema cannot express; raises ``SchemaViolation`` or ``BadConfig``."""
+    """Check a parsed scenario against the schema and the rules the schema
+    cannot express, such as a check carrying only the keys its ``CHECKS``
+    entry reads; raises ``SchemaViolation`` or ``BadConfig``."""
     from jsonschema.exceptions import best_match
 
     validator = _schema_validator(full=not _bulk_items_valid(data))
@@ -232,6 +334,11 @@ def validate_scenario(data: dict):
         raise BadConfig("sigma needs exactly one of 'coeffs' or 'constraint'")
     if "constraint" in sigma and "seed" not in sigma:
         raise BadConfig("generated sigma needs a 'seed'")
+    for check in data["checks"]:
+        reads = CHECKS[check["name"]][0]
+        for key in check:
+            if key not in reads and key not in ("name", "expect"):
+                raise BadConfig(f"check {check['name']!r} does not read {key!r}")
 
 
 def assemble(data: dict) -> tuple[SubmanifoldPoint, list[dict], dict]:
@@ -293,19 +400,6 @@ def assemble(data: dict) -> tuple[SubmanifoldPoint, list[dict], dict]:
     return point, list(data["checks"]), echo
 
 
-def _record(name: str, lhs=None, rhs=None, slack=None, equality=None,
-            passed=True, diagnostics=None) -> dict:
-    return {
-        "name": name,
-        "lhs": lhs,
-        "rhs": rhs,
-        "slack": slack,
-        "equality": equality,
-        "passed": passed,
-        "diagnostics": diagnostics or {},
-    }
-
-
 def _apply_expect(record: dict, expect: dict | None, tol_eq: float):
     if not expect:
         return
@@ -326,20 +420,6 @@ def _apply_expect(record: dict, expect: dict | None, tol_eq: float):
         record["diagnostics"]["expect_failures"] = failures
 
 
-def _slant_diag(slant) -> dict:
-    return {"slant_kind": slant.kind, "slant_angle": slant.angle}
-
-
-def _directions(check: dict, n: int) -> list[int]:
-    """The 1-based L-frame directions a Ricci check's ``u`` selects."""
-    selector = check.get("u", "all")
-    if selector == "all":
-        return list(range(1, n + 1))
-    if not 1 <= selector <= n:
-        raise BadConfig(f"u index {selector} outside 1..{n}")
-    return [selector]
-
-
 def _finite(value) -> bool:
     if isinstance(value, dict):
         return all(_finite(v) for v in value.values())
@@ -354,100 +434,17 @@ def _finite(value) -> bool:
 
 def run_checks(point: SubmanifoldPoint, checks: list[dict],
                tol: Tolerances) -> tuple[list[dict], dict]:
-    tol_eq = tol.equality
-    n = point.n
     records: list[dict] = []
-
-    def bound_record(name: str, report, extra: dict | None = None) -> dict:
-        diag = dict(extra or {})
-        if report.defect_terms is not None:
-            diag["defect_terms"] = [[k, v] for k, v in report.defect_terms]
-        return _record(name, lhs=report.lhs, rhs=report.rhs, slack=report.slack,
-                       equality=report.equality,
-                       passed=report.slack >= -tol_eq, diagnostics=diag)
-
     for check in checks:
-        name = check["name"]
-        expect = check.get("expect")
-        produced: list[dict] = []
-
-        if name == "scalar_identity":
-            result = scalar_identity_check(point)
-            within = result.abs_diff <= tol_eq * result.scale
-            rec = _record(name, lhs=result.lhs, rhs=result.rhs,
-                          slack=result.rhs - result.lhs, equality=within, passed=within,
-                          diagnostics={"tau": point.tau, "abs_diff": result.abs_diff})
-            produced.append(rec)
-        elif name == "invariant_report":
-            rep = invariant_report(point, tol)
-            diag = {
-                "tau": rep.tau,
-                "h_norm_sq": rep.h_norm_sq,
-                "sigma_norm_sq": rep.sigma_norm_sq,
-                "t_norm_sq": rep.t_norm_sq,
-                "n_norm_sq": rep.n_norm_sq,
-                "h_normal": rep.h_normal,
-            }
-            diag.update(_slant_diag(rep.slant))
-            produced.append(_record(name, diagnostics=diag))
-        elif name == "ricci_bound":
-            variant = check.get("variant", "general")
-            for u_index in _directions(check, n):
-                direction = point.tangent.matrix[u_index - 1]
-                report = ricci_bound(point, direction, variant, tol)
-                produced.append(bound_record(
-                    f"{name}[{variant},u={u_index}]", report,
-                    {"variant": variant, "u": u_index},
-                ))
-        elif name == "ricci_equality":
-            for u_index in _directions(check, n):
-                direction = point.tangent.matrix[u_index - 1]
-                diag = ricci_equality_diagnosis(point, direction, tol)
-                produced.append(_record(
-                    f"{name}[u={u_index}]", passed=diag.consistent,
-                    equality=diag.equality,
-                    diagnostics={"u": u_index, "in_null_space": diag.in_null_space,
-                                 "consistent": diag.consistent},
-                ))
-        elif name == "delta_bound":
-            selector = check.get("plane", "all")
-            slant_mode = bool(check.get("slant_mode", False))
-            if selector == "all":
-                planes = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-            else:
-                planes = [tuple(selector)]
-            for i, j in planes:
-                if not (1 <= i <= n and 1 <= j <= n and i != j):
-                    raise BadConfig(f"plane ({i}, {j}) outside the L-frame 1..{n}")
-                x = point.tangent.matrix[i - 1]
-                y = point.tangent.matrix[j - 1]
-                report = delta_bound(point, x, y, slant_mode, tol)
-                produced.append(bound_record(
-                    f"{name}[{i},{j}]", report, {"plane": [i, j], "slant_mode": slant_mode},
-                ))
-        elif name == "global_delta":
-            report = global_delta_bounds(point, tol=tol)
-            diag = {"inf_k": report.inf_k, "inf_k_lower": report.inf_k_lower,
-                    "certificate": report.certificate}
-            diag.update(report.equality_diagnosis)
-            produced.append(bound_record(f"{name}[{report.branch}]", report.bound, diag))
-            if report.four_dim_slant is not None:
-                produced.append(bound_record(
-                    f"{name}[four_dim_slant]", report.four_dim_slant, {},
-                ))
-        elif name == "classify":
-            produced.append(_record(
-                name, diagnostics=dict(classify_sff(point, tol).as_dict()),
-            ))
-        else:  # unreachable under the schema
-            raise BadConfig(f"unknown check {name!r}")
-
+        entry = CHECKS.get(check["name"])
+        if entry is None:  # a library caller's; the schema admits none
+            raise BadConfig(f"unknown check {check['name']!r}")
+        produced = entry[1](point, check, tol)
         for rec in produced:
             if not _finite(rec):
                 raise NonFinite(f"check {rec['name']} produced a non-finite value")
-            _apply_expect(rec, expect, tol_eq)
+            _apply_expect(rec, check.get("expect"), tol.equality)
         records.extend(produced)
-
     slacks = [r["slack"] for r in records if r["slack"] is not None]
     summary = {
         "pass_count": sum(1 for r in records if r["passed"]),

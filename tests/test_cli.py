@@ -141,6 +141,25 @@ def test_fuzz_output_bytes_are_pinned(constraint):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FUZZ_GOLDEN[constraint]
 
 
+# sha256 of the exit code and stdout of `gssf report` on each scenario
+REPORT_GOLDEN = {
+    "spot": "2be6288139fd6e341ca2ea0d80473151388a0771bbc42c0d9792cffadfe8a00e",
+    "generated": "ca61131cf16da5429e06a856b21946b4e5b841c1fb3069aba18ad271f023a49c",
+    "explicit": "19251874bc61a93bec3a420073fba6f54fa23e9931bc4a7bfeeb967989fc9218",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
+def test_report_output_bytes_are_pinned(tmp_path, name):
+    # together the three run every check, Ricci variant, selector form,
+    # slant_mode, four_dim_slant and expect; all are n = 2
+    scenario = {"spot": SPOT_SCENARIO, "generated": _GENERATED_SCENARIO,
+                "explicit": _EXPLICIT_SCENARIO}[name]
+    code, out, err = run_main("report", write_scenario(tmp_path, scenario))
+    assert err == ""
+    assert hashlib.sha256(f"{code}\n{out}".encode("utf-8")).hexdigest() == REPORT_GOLDEN[name]
+
+
 def test_fuzz_count_zero_exits_2():
     proc = run_cli("fuzz", "--seed", "7", "--count", "0")
     assert proc.returncode == 2
@@ -401,8 +420,29 @@ def test_sigma_scale_whose_draw_width_overflows_exits_2(tmp_path, scale):
     assert_input_error(run_cli("report", write_scenario(tmp_path, scenario)), "BadConfig")
 
 
-_CHECK_NAMES = ("scalar_identity", "invariant_report", "ricci_bound", "ricci_equality",
-                "delta_bound", "global_delta", "classify")
+_CHECK_NAMES = tuple(scenario_module.CHECKS)
+
+
+def test_check_name_enum_is_the_checks_table():
+    names = SCENARIO_SCHEMA["properties"]["checks"]["items"]["properties"]["name"]["enum"]
+    assert names == list(scenario_module.CHECKS)
+    point, _, _ = assemble(SPOT_SCENARIO)
+    with pytest.raises(BadConfig):  # a library caller may pass any name
+        run_checks(point, [{"name": "validate_ambient"}], DEFAULT)
+
+
+@pytest.mark.parametrize("check, key", [
+    ({"name": "classify", "u": 3}, "u"),
+    ({"name": "global_delta", "slant_mode": True}, "slant_mode"),
+    ({"name": "scalar_identity", "plane": [1, 2]}, "plane"),
+    ({"name": "delta_bound", "variant": "s_form", "u": 1}, "variant"),
+], ids=["u-on-classify", "slant_mode-on-global_delta", "plane-on-scalar_identity",
+        "variant-and-u-on-delta_bound"])
+def test_key_on_a_check_that_does_not_read_it_exits_2(tmp_path, check, key):
+    code, out, err = run_main("report", write_scenario(tmp_path, _with(["checks"], [check])))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "BadConfig",
+                               "detail": f"check {check['name']!r} does not read {key!r}"}
 
 
 @pytest.mark.parametrize("value", [1e155, 1e200])
@@ -425,6 +465,7 @@ _SLANT_NEAR_LIMIT = [
 _PLANE_INFIMUM_NON_FINITE = [
     _SLANT_NEAR_LIMIT[0],
     (7, 6, {"values": [1e308, -3.5e307, 0, 0, 0, 0, 0]}),  # the t = 0 bracket's width overflows
+    (3, 2, _SLANT_NEAR_LIMIT[0][2]),  # n = 2: R, which is K of the one plane, overflows
 ]
 
 
