@@ -35,7 +35,7 @@ from .errors import (
     VariantPreconditionViolated,
     XiNotTangent,
 )
-from .frames import Basis, Vec, as_vec, complete_basis, gram_schmidt, project
+from .frames import Basis, Vec, as_vec, complete_basis, gram_schmidt
 from .generators import (
     GeneratorConfig,
     anti_invariant_frame,
@@ -61,7 +61,6 @@ from .inequalities import (
     frame_sweep,
     global_delta_bounds,
     minimize_sectional_plane,
-    plane_f_squared,
     ricci_bound,
     ricci_equality_diagnosis,
 )
@@ -76,13 +75,10 @@ from .submanifold import (
     attach_point,
     classify_sff,
     induced_curvature,
-    induced_sectional,
     invariant_report,
     relative_null_space,
-    ricci,
     scalar_identity_check,
     slant_probe,
-    tn_decompose,
 )
 
 __version__ = "0.1.0"

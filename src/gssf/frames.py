@@ -1,4 +1,4 @@
-"""Small dense frame utilities: orthonormalization, projection, completion.
+"""Small dense frame utilities: validated bases, orthonormalization, completion.
 
 Vectors are 1-D float64 arrays in the coordinates of the ambient
 orthonormal system; a basis stores its vectors as rows of a matrix.
@@ -66,19 +66,8 @@ class Basis:
             return 0.0
         return float(np.max(np.abs(self.matrix @ self.matrix.T - np.eye(k))))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def vectors(self) -> list[Vec]:
-        return [row for row in self.matrix]
-
     def __len__(self) -> int:
         return self.matrix.shape[0]
-
-    def __iter__(self):
-        return iter(self.matrix)
 
 
 def gram_schmidt(raw, keep_tail_fixed: int = 0, tol: Tolerances = DEFAULT) -> Basis:
@@ -91,6 +80,10 @@ def gram_schmidt(raw, keep_tail_fixed: int = 0, tol: Tolerances = DEFAULT) -> Ba
     dimensions used here.
 
     Raises DependentInput when a pivot falls below the rank tolerance.
+
+    No library path calls it: it is the test reference for the rank and
+    structure-vector span checks of ``attach_point``, and it stays here
+    only because the benchmark's layer trace names it.
     """
     vecs = [as_vec(v) for v in raw]
     if not vecs:
@@ -128,14 +121,6 @@ def gram_schmidt(raw, keep_tail_fixed: int = 0, tol: Tolerances = DEFAULT) -> Ba
             )
         out_head.append(w / norm)
     return Basis(np.vstack(out_head + done) if out_head or done else np.zeros((0, dim)), tol)
-
-
-def project(x, onto: Basis) -> Vec:
-    """Orthogonal projection of ``x`` onto the span of a basis."""
-    v = as_vec(x, dim=onto.dim)
-    if len(onto) == 0:
-        return np.zeros(onto.dim)
-    return onto.matrix.T @ (onto.matrix @ v)
 
 
 def complete_basis(existing: np.ndarray, count: int) -> np.ndarray:

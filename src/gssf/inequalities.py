@@ -410,17 +410,6 @@ def _orthonormal_l_pair(point: SubmanifoldPoint, x, y, tol: Tolerances):
     return point.l_coords(vx, tol), point.l_coords(vy, tol)
 
 
-def plane_f_squared(point: SubmanifoldPoint, x, y, tol: Tolerances = DEFAULT) -> float:
-    """Squared f-component g(X, fY)^2 of the plane spanned by X, Y in L.
-
-    Lies in [0, 1] and is independent of the orthonormal basis chosen
-    for the plane.
-    """
-    a, b = _orthonormal_l_pair(point, x, y, tol)
-    w = float(a @ point.phi @ b)
-    return w * w
-
-
 def delta_bound(point: SubmanifoldPoint, x, y, slant_mode: bool = False,
                 tol: Tolerances = DEFAULT) -> BoundReport:
     """Bound for tau - K(pi) over a plane pi in L spanned by X, Y.

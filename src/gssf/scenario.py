@@ -3,8 +3,9 @@
 A scenario is a JSON document describing one submanifold point (ambient
 size, structure functions, tangent frame, form coefficients) plus a
 list of checks to run on it.  Unknown fields are rejected, and so is a
-key on a check that does not read it.  Indices in scenario files are 1-based, matching the frame
-conventions of the underlying geometry; the Python API is 0-based.
+key on a check that does not read it.  Indices in scenario files are
+1-based, matching the frame conventions of the underlying geometry; the
+Python API is 0-based.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Pointwise submanifold data and derived curvature invariants.
 
 A point bundles an orthonormal tangent frame whose last two vectors are
-the structure vectors xi_1, xi_2, the orthonormal complement as normal
-frame (built on first use), and formal second fundamental form
-coefficients sigma[r][i][j].  The coefficients are input data, not
-derived from an immersion: every implemented identity and bound is
-frame algebra, so it holds for formal data and can be fuzzed.
-Constraints coming from genuine geometry (for instance
+the structure vectors xi_1, xi_2, and formal second fundamental form
+coefficients sigma[r][i][j] over that frame and an orthonormal normal
+frame, which no invariant needs in coordinates.  The coefficients are
+input data, not derived from an immersion: every implemented identity
+and bound is frame algebra, so it holds for formal data and can be
+fuzzed.  Constraints coming from genuine geometry (for instance
 sigma(X, xi_alpha) = 0 over a flat-normal structure) are opt-in flags.
 
 Induced curvature follows the Gauss equation
@@ -39,7 +39,7 @@ from .errors import (
     NotUnitVector,
     XiNotTangent,
 )
-from .frames import Basis, Vec, as_vec, complete_basis, project
+from .frames import Basis, Vec, as_vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +148,6 @@ class SubmanifoldPoint:
     tangent: Basis
     sff: SecondFundamentalForm
     flags: PointFlags = field(default_factory=PointFlags)
-    #: the tolerances the frames were validated with
-    tol: Tolerances = DEFAULT
 
     @property
     def n(self) -> int:
@@ -159,14 +157,6 @@ class SubmanifoldPoint:
     @property
     def normal_rank(self) -> int:
         return self.ambient.dim - len(self.tangent)
-
-    @cached_property
-    def normal(self) -> Basis:
-        """Orthonormal complement of the tangent frame, validated with the
-        point's tolerances.  No invariant reads it, so it is built on first
-        use."""
-        rows = complete_basis(self.tangent.matrix, self.normal_rank)
-        return Basis(rows, self.tol)
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -181,16 +171,25 @@ class SubmanifoldPoint:
 
     @cached_property
     def sectional_matrix(self) -> np.ndarray:
-        """Induced plane curvatures K(e_i ^ e_j) over the tangent frame."""
-        k = frame_sectional(self.functions, self.phi, self.eta_frame)
-        k = k + _gauss_matrix(self.sff.coeffs)
+        """Induced plane curvatures K(e_i ^ e_j) over the tangent frame.
+        Raises NonFinite when one of them overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            k = frame_sectional(self.functions, self.phi, self.eta_frame)
+            k = k + _gauss_matrix(self.sff.coeffs)
         np.fill_diagonal(k, 0.0)
+        if not np.isfinite(k).all():
+            raise NonFinite("an induced sectional curvature is not finite")
         return k
 
     @cached_property
     def tau(self) -> float:
-        """Scalar curvature: half the sum of K over ordered frame pairs."""
-        return float(np.triu(self.sectional_matrix, 1).sum())
+        """Scalar curvature: half the sum of K over ordered frame pairs.
+        Raises NonFinite when the sum overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            tau = float(np.triu(self.sectional_matrix, 1).sum())
+        if not math.isfinite(tau):
+            raise NonFinite("the scalar curvature tau is not finite")
+        return tau
 
     @cached_property
     def h_normal(self) -> np.ndarray:
@@ -271,8 +270,7 @@ def attach_point(ambient: AmbientModel, functions: StructureFunctions,
     The raw vectors must be linearly independent and their span must
     contain both structure vectors.  The returned tangent frame holds an
     orthonormalized L-part (input order preserved) followed by xi_1,
-    xi_2 exactly; the normal frame is the orthonormal complement, built
-    and validated on first use.
+    xi_2 exactly.
     """
     flags = flags or PointFlags()
     raw = _checked_raw_vectors(raw_tangent, ambient.xi, tol)
@@ -310,7 +308,7 @@ def attach_point(ambient: AmbientModel, functions: StructureFunctions,
                 "c_compatible flag requires sigma(., xi_alpha) = 0 exactly"
             )
     return SubmanifoldPoint(ambient=ambient, functions=functions,
-                            tangent=tangent, sff=sff, flags=flags, tol=tol)
+                            tangent=tangent, sff=sff, flags=flags)
 
 
 def _checked_raw_vectors(raw_tangent, xi: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -360,15 +358,6 @@ def _checked_raw_vectors(raw_tangent, xi: np.ndarray, tol: Tolerances) -> np.nda
     return raw
 
 
-def tn_decompose(point: SubmanifoldPoint, x, tol: Tolerances = DEFAULT) -> tuple[Vec, Vec]:
-    """Split f X into tangential and normal parts (TX, NX), TX + NX = fX."""
-    v = as_vec(x, dim=point.ambient.dim)
-    point.tangent_coords(v, tol)  # NotTangent when X is off the tangent space
-    fx = point.ambient.f_matrix @ v
-    tx = project(fx, point.tangent)
-    return tx, fx - tx
-
-
 def induced_curvature(point: SubmanifoldPoint, x, y, z, w,
                       tol: Tolerances = DEFAULT) -> float:
     """Gauss-equation curvature R(X, Y, Z, W) for tangent vectors."""
@@ -380,16 +369,6 @@ def induced_curvature(point: SubmanifoldPoint, x, y, z, w,
     sig = lambda p, q: np.einsum("rij,i,j->r", s, p, q)
     amb = ambient_curvature(point.ambient, point.functions, x, y, z, w)
     return float(amb + sig(a, d) @ sig(b, c) - sig(a, c) @ sig(b, d))
-
-
-def induced_sectional(point: SubmanifoldPoint, i: int, j: int) -> float:
-    """K(e_i ^ e_j) for two distinct tangent-frame indices (0-based)."""
-    t = point.n + 2
-    if not (0 <= i < t and 0 <= j < t):
-        raise BadShape(f"frame indices must lie in [0, {t})")
-    if i == j:
-        raise BadShape("sectional curvature needs two distinct frame directions")
-    return float(point.sectional_matrix[i, j])
 
 
 def slant_probe(point: SubmanifoldPoint, tol: Tolerances = DEFAULT) -> SlantResult:
@@ -468,13 +447,6 @@ def _require_unit_l(point: SubmanifoldPoint, u, tol: Tolerances) -> np.ndarray:
         raise NotUnitVector("direction must have unit length")
     c = point.l_coords(v, tol)[:point.n]
     return c / np.linalg.norm(c)
-
-
-def ricci(point: SubmanifoldPoint, u, tol: Tolerances = DEFAULT) -> float:
-    """Ricci curvature Ric(U) of a unit direction in L, read off the
-    cached :attr:`SubmanifoldPoint.ricci_form`."""
-    c = _require_unit_l(point, u, tol)
-    return float(c @ point.ricci_form @ c)
 
 
 def relative_null_space(point: SubmanifoldPoint, tol: Tolerances = DEFAULT) -> list[Vec]:

@@ -1,11 +1,11 @@
-"""Shared construction helpers for the test-suite."""
+"""Shared construction helpers and reference computations for the test-suite."""
 
 from __future__ import annotations
 
 import numpy as np
 
 import gssf as G
-from gssf.inequalities import _best_partner, _plane_k, _ricci_defect_terms
+from gssf.inequalities import _best_partner, _orthonormal_l_pair, _plane_k, _ricci_defect_terms
 
 
 def spot_point():
@@ -37,6 +37,35 @@ def anti_invariant_point(n=2, m=None, functions=None, sff=None, flags=None):
     rank = ambient.dim - (n + 2)
     sff = sff if sff is not None else G.SecondFundamentalForm.zeros(rank, n + 2)
     return G.attach_point(ambient, functions, G.anti_invariant_frame(ambient, n), sff, flags)
+
+
+def project(x, onto):
+    """Orthogonal projection of ``x`` onto the span of a ``G.Basis``."""
+    v = G.as_vec(x, dim=onto.matrix.shape[1])
+    return onto.matrix.T @ (onto.matrix @ v)
+
+
+def tn_decompose(point, x, tol=G.DEFAULT):
+    """Split f X into tangential and normal parts (TX, NX), TX + NX = fX;
+    NotTangent when X is off the tangent space."""
+    v = G.as_vec(x, dim=point.ambient.dim)
+    point.tangent_coords(v, tol)
+    fx = point.ambient.f_matrix @ v
+    tx = project(fx, point.tangent)
+    return tx, fx - tx
+
+
+def normal_frame(point, tol=G.DEFAULT):
+    """Orthonormal complement of the tangent frame, validated with ``tol``."""
+    return G.Basis(G.complete_basis(point.tangent.matrix, point.normal_rank), tol)
+
+
+def plane_f_squared(point, x, y, tol=G.DEFAULT):
+    """Squared f-component g(X, fY)^2 of the plane spanned by orthonormal
+    X, Y in L: in [0, 1], and independent of the basis of the plane."""
+    a, b = _orthonormal_l_pair(point, x, y, tol)
+    w = float(a @ point.phi @ b)
+    return w * w
 
 
 def sff_with(rank, t_dim, entries):

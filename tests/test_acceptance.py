@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gssf as G
-from _builders import invariant_point, random_unit_l, sff_with, spot_point
+from _builders import invariant_point, random_unit_l, sff_with, spot_point, tn_decompose
 from conftest import CORPUS_SIZE
 
 
@@ -116,7 +116,7 @@ def test_c04_s_form_sharpening():
             u = random_unit_l(point, rng)
         general = G.ricci_bound(point, u, "general")
         sharper = G.ricci_bound(point, u, "s_form")
-        _, nu = G.tn_decompose(point, u)
+        _, nu = tn_decompose(point, u)
         nu_sq = float(nu @ nu)
         gap = abs((general.rhs - sharper.rhs) - 2.0 * nu_sq)
         worst_gap = max(worst_gap, gap)
@@ -242,8 +242,8 @@ def test_c07_slant_machinery():
             for _ in range(10):
                 x = rng.normal(size=n + 2) @ point.tangent.matrix
                 y = rng.normal(size=n + 2) @ point.tangent.matrix
-                _, nx = G.tn_decompose(point, x)
-                _, ny = G.tn_decompose(point, y)
+                _, nx = tn_decompose(point, x)
+                _, ny = tn_decompose(point, y)
                 fx = ambient.f_matrix @ x
                 fy = ambient.f_matrix @ y
                 gap = abs(float(nx @ ny) - math.sin(theta) ** 2 * float(fx @ fy))

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import jsonschema
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match
 
+import gssf
 from gssf import (DEFAULT, MAX_M, BadConfig, NonFinite, SchemaViolation, ShapeOperatorForm, canonical_model,
                   cli, equality_instance, minimize_sectional_plane, preset_structure_functions)
 from gssf import scenario as scenario_module
@@ -631,6 +633,29 @@ def test_fuzz_does_not_load_jsonschema():
             "sys.exit('jsonschema' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_are_pinned():
+    # the library contract: a name added or removed here is a contract change
+    names = sorted(name for name, value in vars(gssf).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == [
+        "AmbientModel", "BadConfig", "BadDimension", "BadK", "BadShape", "Basis", "BoundReport",
+        "CFormEqualityReport", "ChenLemmaReport", "DEFAULT", "DependentInput", "DimensionMismatch",
+        "FrameSweep", "GeneratorConfig", "GlobalDeltaReport", "GssfError", "InvariantReport",
+        "MAX_M", "NonFinite", "NotInL", "NotMinimal", "NotOrthonormal", "NotTangent",
+        "NotUnitVector", "PlaneInfimum", "PointFlags", "RicciEqualityDiagnosis", "ScalarIdentityReport",
+        "SchemaViolation", "SecondFundamentalForm", "SffClassification", "ShapeMatchResult",
+        "ShapeOperatorForm", "SlantResult", "StructureFunctions", "SubmanifoldPoint", "Tolerances",
+        "UsageError", "VariantPreconditionViolated", "Vec", "XiNotTangent", "ambient_curvature",
+        "anti_invariant_frame", "as_vec", "attach_point", "c_form_equality_classifier",
+        "canonical_model", "chen_lemma_check", "classify_sff", "complete_basis", "delta_bound",
+        "delta_equality_shape_check", "equality_instance", "frame_sectional", "frame_sweep",
+        "global_delta_bounds", "gram_schmidt", "induced_curvature", "invariant_report",
+        "minimize_sectional_plane", "preset_structure_functions", "random_instance", "random_sff",
+        "relative_null_space", "ricci_bound", "ricci_equality_diagnosis", "scalar_identity_check",
+        "slant_frame", "slant_probe",
+    ]
 
 
 _GENERATED_SCENARIO = {

@@ -15,8 +15,8 @@ import gssf as G
 from gssf import cli
 from gssf.inequalities import (_MAX_PLANE_N, _bivector, _c_form_slack_form, _curvature_operator,
                                _dual_ascent, _form_stack, _off_plane_t_norm, _plane_form, _plane_k)
-from _builders import (anti_invariant_point, frame_ricci_defects, invariant_point, random_unit_l,
-                       reference_plane_search, sff_with, spot_point)
+from _builders import (anti_invariant_point, frame_ricci_defects, invariant_point, plane_f_squared,
+                       random_unit_l, reference_plane_search, sff_with, spot_point, tn_decompose)
 
 _CONSTRAINTS = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")
 
@@ -99,7 +99,7 @@ def test_s_form_gap_is_twice_normal_part():
         u = random_unit_l(point, rng)
         general = G.ricci_bound(point, u, "general")
         sharper = G.ricci_bound(point, u, "s_form")
-        _, nu = G.tn_decompose(point, u)
+        _, nu = tn_decompose(point, u)
         assert abs((general.rhs - sharper.rhs) - 2.0 * float(nu @ nu)) < 1e-9
 
 
@@ -224,17 +224,17 @@ def test_c_form_classifier_compares_sigma_on_one_scale():
 
 def test_plane_f_squared_cases():
     inv = invariant_point(n=2, m=2)
-    assert abs(G.plane_f_squared(inv, inv.tangent.matrix[0], inv.tangent.matrix[1]) - 1.0) < 1e-12
+    assert abs(plane_f_squared(inv, inv.tangent.matrix[0], inv.tangent.matrix[1]) - 1.0) < 1e-12
 
     anti = anti_invariant_point(n=2, m=2)
-    assert abs(G.plane_f_squared(anti, anti.tangent.matrix[0], anti.tangent.matrix[1])) < 1e-12
+    assert abs(plane_f_squared(anti, anti.tangent.matrix[0], anti.tangent.matrix[1])) < 1e-12
 
     ambient = G.canonical_model(4)
     theta = math.pi / 5
     functions = G.StructureFunctions(1, 0, 0, 0, 0, 0, 0)
     point = G.attach_point(ambient, functions, G.slant_frame(ambient, 2, theta),
                            G.SecondFundamentalForm.zeros(ambient.dim - 4, 4))
-    value = G.plane_f_squared(point, point.tangent.matrix[0], point.tangent.matrix[1])
+    value = plane_f_squared(point, point.tangent.matrix[0], point.tangent.matrix[1])
     assert abs(value - math.cos(theta) ** 2) < 1e-12
 
 
@@ -243,16 +243,16 @@ def test_plane_f_squared_rotation_invariance_and_errors():
     cfg = G.GeneratorConfig(seed=42, n=4, m=4, constraint="none")
     point = G.random_instance(cfg)
     x, y = point.tangent.matrix[0], point.tangent.matrix[1]
-    base = G.plane_f_squared(point, x, y)
+    base = plane_f_squared(point, x, y)
     for angle in rng.uniform(0, 2 * math.pi, 6):
         xr = math.cos(angle) * x + math.sin(angle) * y
         yr = -math.sin(angle) * x + math.cos(angle) * y
-        assert abs(G.plane_f_squared(point, xr, yr) - base) < 1e-9
+        assert abs(plane_f_squared(point, xr, yr) - base) < 1e-9
 
     with pytest.raises(G.NotOrthonormal):
-        G.plane_f_squared(point, x, x)
+        plane_f_squared(point, x, x)
     with pytest.raises(G.NotInL):
-        G.plane_f_squared(point, x, point.ambient.xi[0])
+        plane_f_squared(point, x, point.ambient.xi[0])
 
 
 # ---------------------------------------------------------- delta bound
@@ -499,7 +499,7 @@ def test_global_delta_f2_negative_adapted_frame_diagnosis():
 
 def _brute_t_form(point):
     """g(T e_i, T e_k) over the L-frame from the tangential parts of f e_i."""
-    t_parts = np.array([G.tn_decompose(point, e)[0] for e in point.tangent.matrix[:point.n]])
+    t_parts = np.array([tn_decompose(point, e)[0] for e in point.tangent.matrix[:point.n]])
     return t_parts @ t_parts.T
 
 
@@ -517,7 +517,7 @@ def test_f2_neg_diagnosis_matches_brute_force_and_ignores_the_plane_basis():
 
         off_plane = np.eye(n) - np.outer(a, a) - np.outer(b, b)
         _, vecs = np.linalg.eigh(off_plane @ _brute_t_form(point) @ off_plane)
-        tw, _ = G.tn_decompose(point, vecs[:, -1] @ point.tangent.matrix[:n])
+        tw, _ = tn_decompose(point, vecs[:, -1] @ point.tangent.matrix[:n])
         assert abs(diag["trailing_t_norm_max"] - np.linalg.norm(tw)) <= 1e-12
         assert diag["trailing_anti_invariant"] == (
             diag["trailing_t_norm_max"] <= G.DEFAULT.membership)
