@@ -244,12 +244,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        with np.errstate(over="raise", invalid="raise"):
-            return args.func(args)
+        return args.func(args)
     except GssfError as exc:
         return _input_error(type(exc).__name__, str(exc))
-    except FloatingPointError as exc:  # numbers too large for the float range
-        return _input_error("NonFinite", f"a computation left the float range: {exc}")
     except json.JSONDecodeError as exc:
         return _input_error("InvalidJson", str(exc))
     except OSError as exc:

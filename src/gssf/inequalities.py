@@ -25,7 +25,6 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     BadK,
     BadShape,
-    NonFinite,
     NotMinimal,
     NotOrthonormal,
     VariantPreconditionViolated,
@@ -39,6 +38,7 @@ from .submanifold import (
     _require_unit_l,
     attach_point,
     classify_sff,
+    finite,
     relative_null_space,
     slant_probe,
 )
@@ -62,6 +62,17 @@ class BoundReport:
         if self.defect_terms is None:
             return None
         return float(sum(v for _, v in self.defect_terms))
+
+
+def _bound_report(what: str, lhs: float, rhs: float, tol: Tolerances,
+                  defect_terms=None) -> BoundReport:
+    """The report of lhs <= rhs; NonFinite, naming ``what``, when the slack
+    (finite only if both sides are) or a defect term is not finite."""
+    slack = finite(rhs - lhs, f"the slack of the {what}")
+    for name, value in defect_terms or ():
+        finite(value, f"the {name} term of the {what}")
+    return BoundReport(lhs=lhs, rhs=rhs, slack=slack, equality=slack <= tol.equality,
+                       defect_terms=defect_terms)
 
 
 @dataclass(frozen=True)
@@ -129,14 +140,17 @@ def chen_lemma_check(a, c: float, tol: Tolerances = DEFAULT) -> ChenLemmaReport:
 
     For reals a_1..a_k and c with (sum a_i)^2 = (k-1)(sum a_i^2 + c),
     the product bound 2 a_1 a_2 >= c holds, with equality exactly when
-    a_1 + a_2 = a_3 = ... = a_k.
+    a_1 + a_2 = a_3 = ... = a_k.  Raises NonFinite when a side of the
+    hypothesis is not finite, as where an a_i or c is.
     """
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise BadK("need at least two numbers")
     k = arr.size
-    total_sq = float(arr.sum()) ** 2
-    rhs_h = (k - 1) * (float(np.sum(arr ** 2)) + c)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        total_sq = finite(float(np.square(arr.sum())), "the lemma's (sum a_i)^2")
+        rhs_h = finite((k - 1) * (float(np.sum(arr ** 2)) + c),
+                       "the lemma's (k - 1)(sum a_i^2 + c)")
     hypothesis = abs(total_sq - rhs_h) <= tol.equality
     product = 2.0 * arr[0] * arr[1]
     inequality = product >= c - tol.equality
@@ -200,7 +214,8 @@ def _ricci_defect_terms(sigma: np.ndarray, u: np.ndarray, upper: int):
     su = sigma[:, :upper, :n] @ u.T  # sigma_r(e_j, u)
     uu = np.einsum("rjk,kj->rk", su[:, :n], u)
     trace = np.einsum("rjj->r", sigma[:, :upper, :upper])
-    trace_gaps = 0.25 * (2.0 * uu - trace[:, None]) ** 2
+    with np.errstate(over="ignore"):  # the bound's report checks it
+        trace_gaps = 0.25 * (2.0 * uu - trace[:, None]) ** 2
     mixed = np.einsum("rjk,rjk->rk", su, su) - uu ** 2
     return trace_gaps, mixed
 
@@ -220,7 +235,8 @@ def ricci_bound(point: SubmanifoldPoint, u, variant: str = "general",
     n = point.n
     f = point.functions
     c = _require_unit_l(point, u, tol)
-    ric = float(c @ point.ricci_form @ c)
+    with np.errstate(over="ignore", invalid="ignore"):  # the report checks it
+        ric = float(c @ point.ricci_form @ c)
     tu_sq = float(np.sum((point.phi[:, :n] @ c) ** 2))
     h_sq = point.h_norm_sq
     quarter = (n + 2) ** 2 / 4.0
@@ -248,9 +264,7 @@ def ricci_bound(point: SubmanifoldPoint, u, variant: str = "general",
                          (f"mixed_r{r + 1}", float(mixed[r, 0])))
         )
 
-    slack = rhs - ric
-    return BoundReport(lhs=ric, rhs=rhs, slack=slack,
-                       equality=slack <= tol.equality, defect_terms=defects)
+    return _bound_report("Ricci bound", ric, rhs, tol, defects)
 
 
 def _delta_rhs(n: int, f: StructureFunctions, h_sq: float) -> float:
@@ -334,15 +348,15 @@ def frame_sweep(point: SubmanifoldPoint) -> FrameSweep:
     order, pair_i, pair_j = _sweep_layout(n)
     own = order[:, :1]  # i, as a column
 
-    ric = k[own, order[:, 1:]].sum(axis=1)
-    tu_sq = (phi[order, own] ** 2).sum(axis=1)
-    ricci_rhs = _ricci_rhs(n, f, h_sq, tu_sq)
-
-    f_sq = phi[pair_i, pair_j] ** 2
-    delta_lhs = point.tau - k[pair_i, pair_j]
-    delta_rhs = _delta_rhs(n, f, h_sq) + 3.0 * f.f2 * (point.t_norm_sq / 2.0 - f_sq)
-
-    return FrameSweep(n=n, slacks=np.concatenate([ricci_rhs - ric, delta_rhs - delta_lhs]))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        ric = k[own, order[:, 1:]].sum(axis=1)
+        tu_sq = (phi[order, own] ** 2).sum(axis=1)
+        ricci_rhs = _ricci_rhs(n, f, h_sq, tu_sq)
+        f_sq = phi[pair_i, pair_j] ** 2
+        delta_lhs = point.tau - k[pair_i, pair_j]
+        delta_rhs = _delta_rhs(n, f, h_sq) + 3.0 * f.f2 * (point.t_norm_sq / 2.0 - f_sq)
+        slacks = np.concatenate([ricci_rhs - ric, delta_rhs - delta_lhs])
+    return FrameSweep(n=n, slacks=finite(slacks, "a slack of the frame sweep"))
 
 
 def ricci_equality_diagnosis(point: SubmanifoldPoint, u,
@@ -370,7 +384,9 @@ def _c_form_slack_form(point: SubmanifoldPoint) -> np.ndarray:
     n = point.n
     f = point.functions
     scalar = (n + 2) ** 2 / 4.0 * point.h_norm_sq + (n - 1) * f.f1
-    return scalar * np.eye(n) + 3.0 * f.f1 * point.t_form - point.ricci_form
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        return finite(scalar * np.eye(n) + 3.0 * f.f1 * point.t_form - point.ricci_form,
+                      "an entry of the C-family Ricci slack form")
 
 
 def c_form_equality_classifier(point: SubmanifoldPoint,
@@ -436,8 +452,7 @@ def delta_bound(point: SubmanifoldPoint, x, y, slant_mode: bool = False,
         t_sq = point.t_norm_sq
 
     rhs = _delta_rhs(n, f, point.h_norm_sq) + 3.0 * f.f2 * (t_sq / 2.0 - f_sq)
-    slack = rhs - lhs
-    return BoundReport(lhs=lhs, rhs=rhs, slack=slack, equality=slack <= tol.equality)
+    return _bound_report("plane bound", lhs, rhs, tol)
 
 
 def delta_equality_shape_check(point: SubmanifoldPoint, x, y,
@@ -493,9 +508,10 @@ def _plane_form(f2: float, phi: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.
 
 def _plane_k(f: StructureFunctions, phi: np.ndarray, s: np.ndarray,
              x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """K of the planes spanned by orthonormal coordinate rows x, y in L."""
-    mx = np.matmul(_plane_form(f.f2, phi, s, y), x[:, :, None])[:, :, 0]
-    return f.f1 + np.sum(x * mx, axis=1)
+    """K of the planes spanned by orthonormal coordinate rows x, y in L, or NonFinite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mx = np.matmul(_plane_form(f.f2, phi, s, y), x[:, :, None])[:, :, 0]
+        return finite(f.f1 + np.sum(x * mx, axis=1), "the sectional curvature of a plane")
 
 
 def _best_partner(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
@@ -503,17 +519,17 @@ def _best_partner(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
     """The unit x orthogonal to each row y that minimizes K(x ^ y), and
     that K: one block step of coordinate descent.  M(y) y = 0, so lifting
     y to an eigenvalue above max|M(y)|, which bounds the least eigenvalue
-    on y's complement, leaves the smallest eigenpair on that complement."""
-    m = _plane_form(f.f2, phi_l, s_l, y)
-    peak = np.max(np.abs(m), axis=(1, 2))
-    if not peak.max() < 1e307:  # the lift would overflow (or M holds a NaN)
-        raise NonFinite("the plane-curvature form is too large to shift for a block step")
-    shift = peak * 10.0 + 1.0
-    vals, vecs = np.linalg.eigh(m + shift[:, None, None] * (y[:, :, None] * y[:, None, :]))
-    x = vecs[:, :, 0]
-    x -= np.sum(x * y, axis=1)[:, None] * y
-    x /= np.linalg.norm(x, axis=1)[:, None]
-    return x, f.f1 + vals[:, 0]
+    on y's complement, leaves the smallest eigenpair on that complement.
+    Raises NonFinite when the lifted M(y) is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the lift is checked below
+        m = _plane_form(f.f2, phi_l, s_l, y)
+        shift = np.max(np.abs(m), axis=(1, 2)) * 10.0 + 1.0
+        lifted = m + shift[:, None, None] * (y[:, :, None] * y[:, None, :])
+        vals, vecs = np.linalg.eigh(finite(lifted, "the lifted M(y) of a block step"))
+        x = vecs[:, :, 0]
+        x -= np.sum(x * y, axis=1)[:, None] * y
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        return x, f.f1 + vals[:, 0]
 
 
 @functools.cache
@@ -633,20 +649,17 @@ def _dual_ascent(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray, r: n
     scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(r))))[1] - 1)
 
     def probe(x):
-        with np.errstate(over="ignore"):  # rejected below
-            t = scale * x[:-1]
-        if not np.isfinite(t).all():
-            raise NonFinite("the plane infimum's dual ascent left the finite range")
-        vals, vecs = np.linalg.eigh(r + (t @ flat[:-1]).reshape(size, size))
-        a, b = _bivector_plane(vecs[:, 0], n)
-        v = _bivector(a, b)
-        return float(vals[0]), float(v @ r @ v), a, b
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            s = r + (scale * x[:-1] @ flat[:-1]).reshape(size, size)  # R + sum_k t_k W_k
+            vals, vecs = np.linalg.eigh(finite(s, "the dual ascent's R + sum_k t_k W_k"))
+            a, b = _bivector_plane(vecs[:, 0], n)
+            v = _bivector(a, b)
+            return float(vals[0]), float(v @ r @ v), a, b
 
     x = np.zeros(len(stack))
     lower, upper, a, b = probe(x)
-    mu = (upper - lower + 1e-3 * max(1.0, abs(upper))) / scale
-    if not math.isfinite(mu):
-        raise NonFinite("the width of the plane infimum's first bracket is not finite")
+    mu = finite((upper - lower + 1e-3 * max(1.0, abs(upper))) / scale,
+                "the width of the plane infimum's first bracket")
     x[-1] = lower / scale - mu
     r_scaled = r / scale
     for _ in range(_BARRIER_LEVELS):
@@ -724,10 +737,9 @@ def minimize_sectional_plane(point: SubmanifoldPoint) -> PlaneInfimum:
     phi_l = point.phi[:n, :n]
     s_l = point.sff.coeffs[:, :n, :n]
 
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        r = _curvature_operator(f, phi_l, s_l)
-    if not np.isfinite(r).all():
-        raise NonFinite("the curvature operator on Lambda^2 L is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        r = finite(_curvature_operator(f, phi_l, s_l),
+                   "the curvature operator on Lambda^2 L")
     if n == 2:  # L is the only plane
         a, b = np.eye(2)
         value = float(_plane_k(f, phi_l, s_l, a[None, :], b[None, :])[0])
@@ -786,9 +798,7 @@ def global_delta_bounds(point: SubmanifoldPoint,
         diagnosis["trailing_t_norm_max"] = t_max
         diagnosis["trailing_anti_invariant"] = t_max <= tol.membership
 
-    slack = rhs - lhs
-    bound = BoundReport(lhs=lhs, rhs=rhs, slack=slack,
-                        equality=slack <= tol.equality)
+    bound = _bound_report("global plane bound", lhs, rhs, tol)
 
     four_dim = None
     if n == 2:
@@ -796,16 +806,13 @@ def global_delta_bounds(point: SubmanifoldPoint,
         if slant.is_slant:
             # at n = 2 the corollary's right side is ``base``, the plane
             # bound's before its F2 term: |H|^2 part + 5 F1 + F3 - 3 (F11 + F22)
-            slack4 = base - lhs
             defects = None
             if point.flags.c_compatible:
                 defects = (
                     ("mean_curvature_term",
                      n * (n + 2) ** 2 / (2.0 * (n + 1)) * point.h_norm_sq),
                 )
-            four_dim = BoundReport(lhs=lhs, rhs=base, slack=slack4,
-                                   equality=slack4 <= tol.equality,
-                                   defect_terms=defects)
+            four_dim = _bound_report("4-dimensional slant bound", lhs, base, tol, defects)
 
     return GlobalDeltaReport(branch=branch, bound=bound, inf_k=inf_k,
                              inf_k_lower=inf_k_lower, certificate=certificate,

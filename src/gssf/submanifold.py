@@ -42,6 +42,16 @@ from .errors import (
 from .frames import Basis, Vec, as_vec
 
 
+def finite(value, what: str):
+    """``value``, a number or an array, if it is finite throughout; else
+    ``NonFinite`` saying that ``what`` is not finite.  Each value that can
+    leave the float range is checked with this where it is built."""
+    ok = np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)
+    if not ok:
+        raise NonFinite(f"{what} is not finite")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class SecondFundamentalForm:
     """Formal coefficients sigma[r][i][j] over normal and tangent frames.
@@ -58,8 +68,7 @@ class SecondFundamentalForm:
             raise BadShape("coefficients must have shape (normals, t, t)")
         if not np.all(np.isfinite(c)):
             raise BadShape("coefficients must be finite")
-        if not math.isfinite(np.vdot(c, c)):  # BLAS: overflows to inf with no warning
-            raise NonFinite("coefficients are too large: their sum of squares overflows")
+        finite(np.vdot(c, c), "the coefficients' sum of squares")  # BLAS: no warning
         if not np.array_equal(c, np.swapaxes(c, 1, 2)):
             raise BadShape("coefficients must be symmetric in the tangent indices")
         c.setflags(write=False)
@@ -173,23 +182,19 @@ class SubmanifoldPoint:
     def sectional_matrix(self) -> np.ndarray:
         """Induced plane curvatures K(e_i ^ e_j) over the tangent frame.
         Raises NonFinite when one of them overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
             k = frame_sectional(self.functions, self.phi, self.eta_frame)
             k = k + _gauss_matrix(self.sff.coeffs)
         np.fill_diagonal(k, 0.0)
-        if not np.isfinite(k).all():
-            raise NonFinite("an induced sectional curvature is not finite")
-        return k
+        return finite(k, "an induced sectional curvature")
 
     @cached_property
     def tau(self) -> float:
         """Scalar curvature: half the sum of K over ordered frame pairs.
         Raises NonFinite when the sum overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-            tau = float(np.triu(self.sectional_matrix, 1).sum())
-        if not math.isfinite(tau):
-            raise NonFinite("the scalar curvature tau is not finite")
-        return tau
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            return finite(float(np.triu(self.sectional_matrix, 1).sum()),
+                          "the scalar curvature tau")
 
     @cached_property
     def h_normal(self) -> np.ndarray:
@@ -221,16 +226,18 @@ class SubmanifoldPoint:
 
         The ambient part is ((n+1) F1 - (F11 + F22)) g + 3 F2 g(T., T.),
         the Gauss part sum_r tr(sigma_r) sigma_r - <sigma_r ., sigma_r .>.
+        Raises NonFinite when an entry overflows.
         """
         n = self.n
         f = self.functions
         s = self.sff.coeffs
         s_l = s[:, :, :n]
-        ambient = (((n + 1) * f.f1 - (f.f11 + f.f22)) * np.eye(n)
-                   + 3.0 * f.f2 * self.t_form)
-        gauss = (np.einsum("r,rik->ik", np.einsum("rjj->r", s), s_l[:, :n])
-                 - np.einsum("rji,rjk->ik", s_l, s_l))
-        return ambient + gauss
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            ambient = (((n + 1) * f.f1 - (f.f11 + f.f22)) * np.eye(n)
+                       + 3.0 * f.f2 * self.t_form)
+            gauss = (np.einsum("r,rik->ik", np.einsum("rjj->r", s), s_l[:, :n])
+                     - np.einsum("rji,rjk->ik", s_l, s_l))
+            return finite(ambient + gauss, "an entry of the Ricci form")
 
     def tangent_coords(self, x, tol: Tolerances = DEFAULT) -> np.ndarray:
         """Coordinates of a tangent vector in the tangent frame."""
@@ -335,11 +342,8 @@ def _checked_raw_vectors(raw_tangent, xi: np.ndarray, tol: Tolerances) -> np.nda
         raise BadShape("vector entries must be finite")
     if count < 2:
         raise BadShape("the tangent span must contain both structure vectors")
-    with np.errstate(over="ignore"):
-        sq_norms = np.einsum("ij,ij->i", raw, raw)
-    if not np.all(np.isfinite(sq_norms)):
-        first = int(np.argmin(np.isfinite(sq_norms))) + 1
-        raise NonFinite(f"tangent vector {first} is too long: its squared norm overflows")
+    with np.errstate(over="ignore"):  # checked below
+        sq_norms = finite(np.einsum("ij,ij->i", raw, raw), "a tangent vector's squared norm")
 
     if count > dim:
         raise DependentInput(f"{count} vectors cannot be independent in dimension {dim}")
@@ -424,7 +428,8 @@ def scalar_identity_check(point: SubmanifoldPoint) -> ScalarIdentityReport:
         + 3 F2 |T|^2 + (n+2)^2 |H|^2 - |sigma|^2,
 
     an identity for arbitrary formal coefficients; the frame summation on
-    the left is the independent oracle.
+    the left is the independent oracle.  Raises NonFinite when either side
+    or their difference is not finite.
     """
     n = point.n
     f = point.functions
@@ -433,7 +438,8 @@ def scalar_identity_check(point: SubmanifoldPoint) -> ScalarIdentityReport:
              3.0 * f.f2 * point.t_norm_sq, (n + 2) ** 2 * point.h_norm_sq,
              -float(np.sum(point.sff.coeffs ** 2)))
     rhs = terms[0] + terms[1] + terms[2] + terms[3] + terms[4] + terms[5]
-    return ScalarIdentityReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs),
+    abs_diff = finite(abs(lhs - rhs), "scalar_identity's 2 tau - closed form")
+    return ScalarIdentityReport(lhs=lhs, rhs=rhs, abs_diff=abs_diff,
                                 scale=max(1.0, abs(lhs), *map(abs, terms)))
 
 

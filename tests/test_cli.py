@@ -14,7 +14,7 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match
@@ -495,6 +495,72 @@ def test_plane_infimum_raises_non_finite_before_any_eigensolver(m, n, structure)
             minimize_sectional_plane(point)
 
 
+def test_infinite_ricci_rhs_exits_2_where_the_check_passed(tmp_path):
+    # (n + 1) F1 + 3 F2 |TU|^2 overflows at c = 1e308 while each term is
+    # finite; an infinite right side once decided this check as passed
+    scenario = {"ambient": {"m": 8}, "structure": {"preset": "s_space_form", "c": 1e308},
+                "frame": {"mode": "slant", "n": 6, "theta": 0.6},
+                "sigma": {"constraint": "minimal", "seed": 839, "scale": 0.001},
+                "checks": [{"name": "ricci_equality"}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main("report", write_scenario(tmp_path, scenario))
+    assert (code, out, len(err.splitlines())) == (2, "", 1), err
+    assert json.loads(err)["error"] == "NonFinite"
+
+
+_NEAR_LIMIT = st.sampled_from([1e308, -1e308, 5.9e307, -5.9e307, 1e307, -3.5e307,
+                               1e200, -1e200, 1e154, 1.0, -1.0, 0.5, 0.0, 2.0])
+_NEAR_LIMIT_COEFF = st.sampled_from([1e154, 9e153, 1e150, 1.0, -3e153])
+
+
+@st.composite
+def _near_limit_scenarios(draw):
+    """Scenarios whose structure values, preset c or form coefficients sit
+    near the float limit, n = 2..8, with two checks from the table."""
+    n = draw(st.integers(2, 8))
+    m = n + draw(st.integers(0, 2))
+    numbers = st.one_of(_NEAR_LIMIT, st.floats(-1e308, 1e308))
+    structure = draw(st.one_of(
+        st.builds(lambda v: {"values": v}, st.lists(numbers, min_size=7, max_size=7)),
+        st.builds(lambda p, c: {"preset": p, "c": c},
+                  st.sampled_from(["s_space_form", "c_space_form", "real_space_form"]),
+                  numbers)))
+    generated = st.fixed_dictionaries({
+        "constraint": st.sampled_from(["none", "minimal", "c_compatible",
+                                       "minimal_and_c_compatible"]),
+        "seed": st.integers(0, 2 ** 16),
+        "scale": st.sampled_from([1.0, 1e-3, 1e100, 1e150, 1e153])})
+    rank = 2 * m - n
+    coeff = st.tuples(st.integers(1, rank), st.integers(1, n + 2), st.integers(1, n + 2),
+                      st.one_of(_NEAR_LIMIT_COEFF, st.floats(-1e154, 1e154))).map(list)
+    sigma = draw(st.one_of(generated, st.builds(lambda c: {"coeffs": c},
+                                                 st.lists(coeff, min_size=1, max_size=3))))
+    return {"ambient": {"m": m}, "structure": structure,
+            "frame": draw(st.sampled_from([{"mode": "slant", "n": n, "theta": 0.6},
+                                           {"mode": "anti_invariant", "n": n}])),
+            "sigma": sigma,
+            "checks": [{"name": draw(st.sampled_from(_CHECK_NAMES))} for _ in range(2)]}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scenario=_near_limit_scenarios())
+def test_near_limit_scenarios_exit_with_a_verdict_or_one_error_line(tmp_path_factory, scenario):
+    # every value a check decides on is checked where it is built: no
+    # numpy warning, no traceback, and on exit 2 exactly one JSON line
+    path = write_scenario(tmp_path_factory.getbasetemp(), scenario, "near_limit.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main("report", path)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert json.loads(err)["error"]
+    else:
+        assert err == "" and json.loads(out)["summary"]
+
+
 def test_plane_infimum_at_the_float_limit_closes_without_a_warning():
     point, _, _ = assemble(_slant_global_delta(*_SLANT_NEAR_LIMIT[1]))
     with warnings.catch_warnings():
@@ -503,6 +569,21 @@ def test_plane_infimum_at_the_float_limit_closes_without_a_warning():
     f1 = point.functions.f1  # 2.5e307
     assert result.certificate == "kkt" and result.upper == f1
     assert 0.0 <= result.upper - result.lower <= 1e-10 * f1
+
+
+def test_block_steps_run_where_the_lifted_form_is_finite():
+    # M(y) of a block step reaches 1e307 here, but its lift stays finite
+    point, _, _ = assemble({"ambient": {"m": 4},
+                            "structure": {"preset": "c_space_form", "c": -3.5e307},
+                            "frame": {"mode": "slant", "n": 4, "theta": 0.6},
+                            "sigma": {"coeffs": [[1, 1, 4, 1e150], [2, 5, 4, 1e150],
+                                                 [3, 3, 3, 1e154]]},
+                            "checks": []})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = minimize_sectional_plane(point)
+    assert result.certificate == "none"
+    assert 0.0 <= result.upper - result.lower <= 1e-8 * abs(result.upper)
 
 
 _LARGE_IDENTITY = {"ambient": {"m": 4}, "structure": {"preset": "s_space_form", "c": 2.0},

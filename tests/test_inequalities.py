@@ -38,6 +38,17 @@ def test_chen_lemma_examples():
         G.chen_lemma_check([1.0], 0.0)
 
 
+@pytest.mark.parametrize("a, c", [
+    ([1e200, 1e200], 0.0),  # (sum a_i)^2 overflows
+    ([1e160, 1.0, 2.0], 1.0),  # so do (sum a_i)^2 and sum a_i^2
+    ([1.0, math.nan], 0.0),
+    ([1.0, 2.0], math.inf),
+], ids=["sum-squared", "sum-of-squares", "nan-number", "infinite-c"])
+def test_chen_lemma_raises_non_finite(a, c):
+    with pytest.raises(G.NonFinite):
+        G.chen_lemma_check(a, c)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=8))
 def test_chen_lemma_property(values):

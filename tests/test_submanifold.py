@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -288,15 +289,36 @@ def test_overflowing_invariants_raise_non_finite_where_the_point_builds_them(val
     point, _, _ = assemble({"ambient": {"m": 5}, "structure": {"values": values},
                             "frame": {"mode": "slant", "n": 4, "theta": 0.6},
                             "sigma": {"constraint": "none", "seed": 1}, "checks": []})
+    e = point.tangent.matrix
     if finite_sectional:
         assert np.isfinite(point.sectional_matrix).all()
+        assert math.isfinite(G.ricci_bound(point, e[0]).slack)  # Ric(e_1) does not read tau
+    else:
+        with pytest.raises(G.NonFinite):
+            G.ricci_bound(point, e[0])  # (n + 1) F1 and 3 F2 overflow in the Ricci form
     for query in (lambda: point.tau, lambda: G.scalar_identity_check(point),
-                  lambda: G.frame_sweep(point), lambda: G.invariant_report(point)):
+                  lambda: G.frame_sweep(point), lambda: G.invariant_report(point),
+                  lambda: G.delta_bound(point, e[0], e[1]), lambda: G.global_delta_bounds(point)):
         with pytest.raises(G.NonFinite):
             query()  # a RuntimeWarning here is an error too (pyproject's filterwarnings)
-    if finite_sectional:
-        with pytest.raises(G.NonFinite):
-            G.delta_bound(point, *point.tangent.matrix[:2])
+    # the rest return finite numbers or raise NonFinite; a loose equality
+    # tolerance lets the Ricci diagnosis past its minimality check
+    loose = dataclasses.replace(G.DEFAULT, equality=1e3)
+    for query in (lambda: G.ricci_equality_diagnosis(point, e[0], loose),
+                  lambda: G.delta_equality_shape_check(point, e[0], e[1]),
+                  lambda: G.classify_sff(point), lambda: G.slant_probe(point)):
+        try:
+            result = query()
+        except G.NonFinite:
+            continue
+        assert all(map(math.isfinite, _floats(dataclasses.astuple(result)))), result
+
+
+def _floats(value) -> list[float]:
+    """The floats inside nested tuples, as ``dataclasses.astuple`` gives them."""
+    if isinstance(value, tuple):
+        return [x for item in value for x in _floats(item)]
+    return [value] if isinstance(value, float) else []
 
 
 def test_slant_probe_cases():
