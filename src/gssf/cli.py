@@ -21,13 +21,15 @@ import numpy as np
 from .ambient import MAX_M, canonical_model, preset_structure_functions
 from .config import DEFAULT
 from .errors import BadConfig, GssfError, UsageError
-from .generators import GeneratorConfig, random_instance
+from .generators import GeneratorConfig, random_instances
 from .inequalities import ShapeOperatorForm, equality_instance, equality_pattern, frame_sweep
 from .jsonutil import dumps
 from .scenario import assemble, build_report, load_scenario, run_checks
 from .submanifold import scalar_identity_check
 
 _CONSTRAINT_CHOICES = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")
+#: fuzz trials generated in one batch; it bounds the points held at once
+_FUZZ_CHUNK = 256
 
 
 def _resolve_tol(args) -> float:
@@ -79,6 +81,21 @@ def _cmd_report(args) -> int:
     return 0 if summary["fail_count"] == 0 else 1
 
 
+def _fuzz_points(seed: int, count: int, lo: int, hi: int, constraint: str):
+    """(seed, point) of each fuzz trial in turn, the points generated
+    ``_FUZZ_CHUNK`` at a time; each is dropped once the next is taken."""
+    for start in range(0, count, _FUZZ_CHUNK):
+        configs = []
+        for trial in range(start, min(start + _FUZZ_CHUNK, count)):
+            n = lo + trial % (hi - lo + 1)
+            m = n + trial % 2
+            configs.append(GeneratorConfig(seed=seed + trial, n=n, m=m, constraint=constraint))
+        points = random_instances(configs)
+        for index, config in enumerate(configs):
+            point, points[index] = points[index], None
+            yield config.seed, point
+
+
 def _cmd_fuzz(args) -> int:
     if args.count < 1:
         return _input_error("BadConfig", "--count must be at least 1")
@@ -100,13 +117,7 @@ def _cmd_fuzz(args) -> int:
     violations = []
     checks_run = 0
 
-    for trial in range(args.count):
-        n = lo + trial % (hi - lo + 1)
-        m = n + trial % 2
-        seed = args.seed + trial
-        config = GeneratorConfig(seed=seed, n=n, m=m, constraint=args.constraint)
-        point = random_instance(config)
-
+    for seed, point in _fuzz_points(args.seed, args.count, lo, hi, args.constraint):
         identity = scalar_identity_check(point)
         rel = identity.abs_diff / max(1.0, abs(identity.lhs), abs(identity.rhs))
         if rel > worst_ident:

@@ -8,19 +8,23 @@ is a pure function of its configuration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .ambient import MAX_M, AmbientModel, StructureFunctions, canonical_model
+from .config import DEFAULT
 from .errors import BadConfig, BadDimension
 from .frames import Vec
 from .submanifold import (
     PointFlags,
     SecondFundamentalForm,
     SubmanifoldPoint,
-    attach_point,
+    check_frames,
+    point_on_checked_frame,
 )
 
 _CONSTRAINTS = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")
@@ -116,34 +120,54 @@ def random_sff(rng: np.random.Generator, normal_rank: int, tangent_dim: int,
     return SecondFundamentalForm(coeffs)
 
 
-def _random_rotation(rng: np.random.Generator, dim: int, block: int) -> np.ndarray:
-    """Composition of seeded Givens rotations over the first ``block`` axes.
+#: most entries of one stack of rotations: it bounds a batch's memory at large m
+_STACK_ENTRIES = 1 << 20
+
+
+@functools.cache
+def _givens_sweep(block: int) -> tuple[tuple[int, int], ...]:
+    """Axis pairs of the seeded rotations over the first ``block`` axes.
 
     Two passes over adjacent pairs plus one over offset pairs connect
     every axis to every other, which is enough mixing for fuzzing while
-    leaving the trailing (structure) axes untouched.  The rotations act
-    on the leading block only, row by row on Python floats, which is the
-    same arithmetic per entry as whole-row array updates at a fraction of
-    the call overhead for blocks this small.
+    leaving the trailing (structure) axes untouched.
     """
     pairs = [(i, i + 1) for i in range(block - 1)]
     offset = max(2, block // 2)
-    sweep = pairs + [(i, i + offset) for i in range(block - offset)] + pairs
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=len(sweep)).tolist()
-    g = np.eye(block).tolist()
-    for (i, j), angle in zip(sweep, angles):
-        c, s = math.cos(angle), math.sin(angle)
-        gi, gj = g[i], g[j]
-        g[i] = [c * x - s * y for x, y in zip(gi, gj)]
-        g[j] = [s * x + c * y for x, y in zip(gi, gj)]
-    rotation = np.eye(dim)
-    rotation[:block, :block] = g
-    return rotation
+    return tuple(pairs + [(i, i + offset) for i in range(block - offset)] + pairs)
 
 
-def random_instance(config: GeneratorConfig) -> SubmanifoldPoint:
-    """Deterministic instance: rotated slant or generic frame, uniform
-    structure functions, constrained random form coefficients."""
+def _rotations(dim: int, angles: list[list[float]]) -> np.ndarray:
+    """One rotation of R^dim per list of sweep angles, stacked: the Givens
+    sweep over the leading dim - 2 axes.  Each step updates rows i and j
+    by the same correctly rounded c x - s y and s x + c y, entry by
+    entry, as a rotation built on its own, and cos and sin come from
+    ``math``, so every rotation keeps those bits."""
+    sweep = _givens_sweep(dim - 2)
+    cos = np.array([[math.cos(a) for a in row] for row in angles])
+    sin = np.array([[math.sin(a) for a in row] for row in angles])
+    rotations = np.zeros((len(angles), dim, dim))
+    rotations[:, range(dim), range(dim)] = 1.0
+    g = rotations[:, :dim - 2, :dim - 2]
+    # one (rotations, 1) column of c and of s per step
+    for (i, j), c, s in zip(sweep, cos.T[:, :, None], sin.T[:, :, None]):
+        gi, gj = g[:, i], g[:, j]
+        row_i = c * gi - s * gj
+        g[:, j] = s * gi + c * gj
+        g[:, i] = row_i
+    return rotations
+
+
+class _Draws(NamedTuple):
+    functions: StructureFunctions
+    base: list[Vec]  # the L-part before the rotation
+    angles: list[float]
+    sff: SecondFundamentalForm
+
+
+def _draws(config: GeneratorConfig) -> _Draws:
+    """A config's random draws, from its own seeded generator in a fixed
+    order: structure functions, slant coin and angle, sweep angles, form."""
     rng = np.random.default_rng(config.seed)
     ambient = canonical_model(config.m)
     lo, hi = np.array(config.f_ranges).T
@@ -156,13 +180,53 @@ def random_instance(config: GeneratorConfig) -> SubmanifoldPoint:
         theta = rng.uniform(0.0, math.pi / 2.0)
         base = slant_frame(ambient, n, theta)[:n]
     else:
-        base = np.eye(ambient.dim)[:n]
+        base = list(np.eye(ambient.dim)[:n])
 
-    rotation = _random_rotation(rng, ambient.dim, 2 * config.m)
-    l_part = [rotation @ v for v in base]
-    raw = l_part + [ambient.xi[0], ambient.xi[1]]
-
+    count = len(_givens_sweep(2 * config.m))
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=count).tolist()
     rank = ambient.dim - (n + 2)
     sff = random_sff(rng, rank, n + 2, config.sigma_scale, config.constraint, n)
-    flags = PointFlags(c_compatible="c_compatible" in config.constraint)
-    return attach_point(ambient, functions, raw, sff, flags)
+    return _Draws(functions, base, angles, sff)
+
+
+def random_instances(configs) -> list[SubmanifoldPoint]:
+    """``random_instance`` of each config, in order: rotated slant or
+    generic frame, uniform structure functions, constrained random form
+    coefficients.
+
+    Every config draws from its own generator, so each instance is a
+    pure function of its config.  Configs of equal (n, m) share one
+    stacked Givens sweep and one stacked frame check; the per-vector
+    orthonormalization stays per instance, so the bits are those of
+    building each instance alone.
+    """
+    configs = list(configs)
+    draws = [_draws(config) for config in configs]
+    classes: dict[tuple[int, int], list[int]] = {}
+    for index, config in enumerate(configs):
+        classes.setdefault((config.n, config.m), []).append(index)
+
+    points: list = [None] * len(configs)
+    for (n, m), indices in classes.items():
+        ambient = canonical_model(m)
+        dim = ambient.dim
+        size = max(1, _STACK_ENTRIES // dim ** 2)
+        for start in range(0, len(indices), size):
+            batch = indices[start:start + size]
+            rotations = _rotations(dim, [draws[i].angles for i in batch])
+            frames = np.empty((len(batch), n + 2, dim))
+            frames[:, n:] = ambient.xi
+            for frame, rotation, i in zip(frames, rotations, batch):
+                for k, v in enumerate(draws[i].base):
+                    frame[k] = rotation @ v
+            check_frames(frames, ambient.xi, DEFAULT)
+            for frame, i in zip(frames, batch):
+                flags = PointFlags(c_compatible="c_compatible" in configs[i].constraint)
+                points[i] = point_on_checked_frame(ambient, draws[i].functions, frame,
+                                                   draws[i].sff, flags, DEFAULT)
+    return points
+
+
+def random_instance(config: GeneratorConfig) -> SubmanifoldPoint:
+    """The instance of one config; see ``random_instances``."""
+    return random_instances([config])[0]

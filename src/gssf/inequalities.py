@@ -637,10 +637,11 @@ def _dual_ascent(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray, r: n
     It also stops once size * mu, the central path's duality gap in
     units of R's scale, is below 1e-12: the bounds have nothing left to
     gain in double precision, and S would turn singular to working
-    precision.  If the bracket is still open, as where no t makes the
-    relaxation tight, block steps from the best plane lower the upper
-    value.  Returns (upper, lower, a, b), with upper = ``_plane_k`` at
-    the plane (a, b).
+    precision; where S or the Newton system turns singular sooner, the
+    levels end there too, with the bracket reached.  If the bracket is
+    still open, as where no t makes the relaxation tight, block steps
+    from the best plane lower the upper value.  Returns (upper, lower,
+    a, b), with upper = ``_plane_k`` at the plane (a, b).
     """
     n = len(phi_l)
     size = len(r)
@@ -665,18 +666,21 @@ def _dual_ascent(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray, r: n
     for _ in range(_BARRIER_LEVELS):
         if _closed(upper, lower) or size * mu <= 1e-12:
             break
-        for _ in range(_NEWTON_STEPS):
-            z = np.linalg.inv(r_scaled + (x @ flat).reshape(size, size))
-            z_stack = z @ stack  # Z A_i, with Z = S^-1
-            grad = -(flat @ z.ravel())  # -tr(Z A_i)
-            grad[-1] -= 1.0 / mu
-            z_flat = z_stack.reshape(len(stack), -1)
-            hess = z_flat @ z_stack.transpose(0, 2, 1).reshape(len(stack), -1).T  # tr(Z A_i Z A_j)
-            step = np.linalg.solve(hess, -grad)
-            decrement = math.sqrt(max(0.0, float(-grad @ step)))
-            x += step / (1.0 + decrement) if decrement > 0.25 else step
-            if decrement < 0.5:
-                break
+        try:
+            for _ in range(_NEWTON_STEPS):
+                z = np.linalg.inv(r_scaled + (x @ flat).reshape(size, size))
+                z_stack = z @ stack  # Z A_i, with Z = S^-1
+                grad = -(flat @ z.ravel())  # -tr(Z A_i)
+                grad[-1] -= 1.0 / mu
+                z_flat = z_stack.reshape(len(stack), -1)
+                hess = z_flat @ z_stack.transpose(0, 2, 1).reshape(len(stack), -1).T  # tr(Z A_i Z A_j)
+                step = np.linalg.solve(hess, -grad)
+                decrement = math.sqrt(max(0.0, float(-grad @ step)))
+                x += step / (1.0 + decrement) if decrement > 0.25 else step
+                if decrement < 0.5:
+                    break
+        except np.linalg.LinAlgError:  # S singular to working precision: the floor's case
+            break
         mu *= 0.005
         level_lower, k, level_a, level_b = probe(x)
         lower = max(lower, level_lower)

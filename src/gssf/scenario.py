@@ -348,9 +348,12 @@ def assemble(data: dict) -> tuple[SubmanifoldPoint, list[dict], dict]:
 
     structure = data["structure"]
     if "preset" in structure:
-        functions = preset_structure_functions(structure["preset"], structure["c"])
+        given = preset_structure_functions(structure["preset"], structure["c"])
     else:
-        functions = StructureFunctions(*structure["values"])
+        given = StructureFunctions(*structure["values"])
+    # echoed as given but computed in floats, so that arithmetic on an
+    # integer near the float limit ends in NonFinite, not OverflowError
+    functions = StructureFunctions(*map(float, given.as_tuple()))
 
     frame_cfg = data["frame"]
     mode = frame_cfg["mode"]
@@ -394,7 +397,7 @@ def assemble(data: dict) -> tuple[SubmanifoldPoint, list[dict], dict]:
     echo = {
         "m": ambient.m,
         "n": point.n,
-        "structure_functions": functions.as_dict(),
+        "structure_functions": given.as_dict(),
         "frame": point.tangent.matrix,
         "flags": {"c_compatible": point.flags.c_compatible},
     }

@@ -279,9 +279,69 @@ def attach_point(ambient: AmbientModel, functions: StructureFunctions,
     orthonormalized L-part (input order preserved) followed by xi_1,
     xi_2 exactly.
     """
-    flags = flags or PointFlags()
-    raw = _checked_raw_vectors(raw_tangent, ambient.xi, tol)
+    raw = _raw_vectors(raw_tangent, ambient.dim)
+    check_frames(raw[None], ambient.xi, tol)
+    return point_on_checked_frame(ambient, functions, raw, sff, flags or PointFlags(), tol)
 
+
+def _raw_vectors(raw_tangent, dim: int) -> np.ndarray:
+    """The raw tangent vectors as the rows of one array of width ``dim``."""
+    try:
+        raw = np.asarray(raw_tangent, dtype=float)
+    except ValueError as exc:
+        if len({np.shape(v) for v in raw_tangent}) > 1:  # vectors of unequal length
+            raise DimensionMismatch("tangent vectors must share one dimension") from exc
+        raise
+    if raw.ndim != 2:
+        raise BadShape(f"expected one 1-D vector per row, got array of shape {raw.shape}")
+    if raw.shape[1] != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {raw.shape[1]}")
+    return raw
+
+
+def check_frames(frames: np.ndarray, xi: np.ndarray, tol: Tolerances) -> None:
+    """Every input check on a stack of raw frames, shape (frames, vectors,
+    dim): finiteness, count, rank and tangency of xi_1, xi_2.  The error
+    and its detail are those of the first frame that fails the first
+    failing check, so a stack of one checks a single frame.
+
+    ``|R_ii| / |v_i|`` of ``frame.T = QR`` is the distance of v_i from the
+    span of the vectors before it, relative to its length: the pivot
+    Gram-Schmidt compares with ``rank_pivot``.
+    """
+    count, dim = frames.shape[1:]
+    if not np.all(np.isfinite(frames)):
+        raise BadShape("vector entries must be finite")
+    if count < 2:
+        raise BadShape("the tangent span must contain both structure vectors")
+    with np.errstate(over="ignore"):  # checked below
+        sq_norms = finite(np.einsum("bij,bij->bi", frames, frames),
+                          "a tangent vector's squared norm")
+
+    if count > dim:
+        raise DependentInput(f"{count} vectors cannot be independent in dimension {dim}")
+    if not np.all(sq_norms > 0.0):
+        raise DependentInput("zero vector in input")
+    q, r = np.linalg.qr(frames.transpose(0, 2, 1))
+    pivots = np.abs(np.diagonal(r, axis1=1, axis2=2)) / np.sqrt(sq_norms)
+    deficient = np.any(pivots < tol.rank_pivot, axis=1)
+    if deficient.any():
+        pivot = pivots[np.argmax(deficient)].min()
+        raise DependentInput(f"rank deficiency detected (pivot {pivot:.3e})")
+    residuals = np.linalg.norm(xi - (xi @ q) @ q.transpose(0, 2, 1), axis=2)
+    off_span = residuals > tol.tangency
+    if off_span.any():
+        b, alpha = np.argwhere(off_span)[0]
+        raise XiNotTangent(
+            f"xi_{alpha + 1} is off the tangent span by {residuals[b, alpha]:.3e}"
+        )
+
+
+def point_on_checked_frame(ambient: AmbientModel, functions: StructureFunctions,
+                           raw: np.ndarray, sff: SecondFundamentalForm,
+                           flags: PointFlags, tol: Tolerances) -> SubmanifoldPoint:
+    """The point of ``attach_point`` on raw vectors, the rows of ``raw``,
+    that ``check_frames`` has passed."""
     # Strip structure components, then orthonormalize what is left of each
     # input vector; vectors that were pure xi combinations drop out.
     l_rows: list[Vec] = []
@@ -316,50 +376,6 @@ def attach_point(ambient: AmbientModel, functions: StructureFunctions,
             )
     return SubmanifoldPoint(ambient=ambient, functions=functions,
                             tangent=tangent, sff=sff, flags=flags)
-
-
-def _checked_raw_vectors(raw_tangent, xi: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The raw tangent vectors as the rows of one array, after every input
-    check: shape, dimension, finiteness, rank and tangency of xi_1, xi_2.
-
-    ``|R_ii| / |v_i|`` of ``raw.T = QR`` is the distance of v_i from the
-    span of the vectors before it, relative to its length: the pivot
-    Gram-Schmidt compares with ``rank_pivot``.
-    """
-    dim = xi.shape[1]
-    try:
-        raw = np.asarray(raw_tangent, dtype=float)
-    except ValueError as exc:
-        if len({np.shape(v) for v in raw_tangent}) > 1:  # vectors of unequal length
-            raise DimensionMismatch("tangent vectors must share one dimension") from exc
-        raise
-    if raw.ndim != 2:
-        raise BadShape(f"expected one 1-D vector per row, got array of shape {raw.shape}")
-    count = raw.shape[0]
-    if raw.shape[1] != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {raw.shape[1]}")
-    if not np.all(np.isfinite(raw)):
-        raise BadShape("vector entries must be finite")
-    if count < 2:
-        raise BadShape("the tangent span must contain both structure vectors")
-    with np.errstate(over="ignore"):  # checked below
-        sq_norms = finite(np.einsum("ij,ij->i", raw, raw), "a tangent vector's squared norm")
-
-    if count > dim:
-        raise DependentInput(f"{count} vectors cannot be independent in dimension {dim}")
-    if not np.all(sq_norms > 0.0):
-        raise DependentInput("zero vector in input")
-    q, r = np.linalg.qr(raw.T)
-    pivots = np.abs(np.diagonal(r)) / np.sqrt(sq_norms)
-    if np.any(pivots < tol.rank_pivot):
-        raise DependentInput(f"rank deficiency detected (pivot {pivots.min():.3e})")
-    residuals = np.linalg.norm(xi - (xi @ q) @ q.T, axis=1)
-    for alpha, residual in enumerate(residuals):
-        if residual > tol.tangency:
-            raise XiNotTangent(
-                f"xi_{alpha + 1} is off the tangent span by {residual:.3e}"
-            )
-    return raw
 
 
 def induced_curvature(point: SubmanifoldPoint, x, y, z, w,

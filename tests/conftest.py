@@ -40,16 +40,13 @@ class CorpusStats:
 
 @pytest.fixture(scope="session")
 def corpus() -> CorpusStats:
-    points = []
+    points = G.generators.random_instances(corpus_config(index) for index in range(CORPUS_SIZE))
     identity_rel = np.zeros(CORPUS_SIZE)
     ricci_min = np.full(CORPUS_SIZE, np.inf)
     defect_gap = np.zeros(CORPUS_SIZE)
     delta_min = np.full(CORPUS_SIZE, np.inf)
 
-    for index in range(CORPUS_SIZE):
-        point = G.random_instance(corpus_config(index))
-        points.append(point)
-
+    for index, point in enumerate(points):
         identity = G.scalar_identity_check(point)
         identity_rel[index] = identity.abs_diff / max(
             1.0, abs(identity.lhs), abs(identity.rhs)

@@ -143,6 +143,15 @@ def test_fuzz_output_bytes_are_pinned(constraint):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FUZZ_GOLDEN[constraint]
 
 
+def test_fuzz_output_bytes_across_generation_batches_are_pinned():
+    # 600 trials are three generation batches: the bytes of one at a time
+    code, out, err = run_main("fuzz", "--seed", "7", "--count", "600", "--n-range", "1..6",
+                              "--constraint", "minimal_and_c_compatible")
+    assert (code, err) == (0, "")
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "2db861c7aec0975ef6d2bc76e7d4c9617115434307111a75b491bed848ffe07e")
+
+
 # sha256 of the exit code and stdout of `gssf report` on each scenario
 REPORT_GOLDEN = {
     "spot": "2be6288139fd6e341ca2ea0d80473151388a0771bbc42c0d9792cffadfe8a00e",
@@ -584,6 +593,42 @@ def test_block_steps_run_where_the_lifted_form_is_finite():
         result = minimize_sectional_plane(point)
     assert result.certificate == "none"
     assert 0.0 <= result.upper - result.lower <= 1e-8 * abs(result.upper)
+
+
+def test_singular_barrier_system_ends_the_levels_without_a_traceback(tmp_path):
+    # F1 = F2 = -1.475e307 swamp sigma: S turns singular in the Newton loop
+    # before size * mu reaches its floor, where np.linalg.inv once raised
+    scenario = {"ambient": {"m": 10}, "structure": {"preset": "s_space_form", "c": -5.9e307},
+                "frame": {"mode": "slant", "n": 8, "theta": 0.6},
+                "sigma": {"constraint": "none", "seed": 26662, "scale": 1e100},
+                "checks": [{"name": "global_delta"}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main("report", write_scenario(tmp_path, scenario))
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert json.loads(err)["error"]
+    else:
+        assert err == "" and json.loads(out)["summary"]
+
+
+def test_integer_structure_value_near_the_float_limit_exits_2(tmp_path):
+    # (n + 1) F1 on the Python int 10^308 once ended in an OverflowError
+    scenario = _slant_global_delta(5, 4, {"values": [10 ** 308, 1, 1, 1, 0, 0, 1]})
+    scenario["checks"] = [{"name": "ricci_bound"}]
+    code, out, err = run_main("report", write_scenario(tmp_path, scenario))
+    assert (code, out, len(err.splitlines())) == (2, "", 1), err
+    assert json.loads(err)["error"] == "NonFinite"
+
+
+def test_integer_structure_values_are_echoed_as_given(tmp_path):
+    values = [2, 0, 0, 1, -1, -1, 1]
+    code, out, _ = run_main("report", write_scenario(
+        tmp_path, _slant_global_delta(5, 4, {"values": values})))
+    echoed = json.loads(out)["resolved"]["structure_functions"]
+    assert code in (0, 1)
+    assert [(type(v), v) for v in echoed.values()] == [(int, v) for v in values]
 
 
 _LARGE_IDENTITY = {"ambient": {"m": 4}, "structure": {"preset": "s_space_form", "c": 2.0},

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -161,3 +162,53 @@ def test_generator_output_bits_are_pinned(monkeypatch):
             digest.update(array.tobytes())
     assert 0 < len(slant_draws) < len(_PIN_CONFIGS)
     assert digest.hexdigest() == GENERATOR_GOLDEN
+
+
+@pytest.mark.parametrize("stack_entries", [G.generators._STACK_ENTRIES, 1000])
+def test_batched_generation_keeps_the_bits_of_single_calls(monkeypatch, stack_entries):
+    # 720 configs, n = 1..12 and m = n..n+2, every constraint, in shuffled
+    # order; 1000 stack entries cut each (n, m) class into stacks of
+    # 1 (dim 26 and up) to 62 (dim 4) trials
+    configs = [G.GeneratorConfig(seed=5000 + 100 * n + 10 * (m - n) + k, n=n, m=m,
+                                 constraint=_CONSTRAINTS[k % 4])
+               for n in range(1, 13) for m in range(n, n + 3) for k in range(5)]
+    random.Random(18).shuffle(configs)
+    singles = [G.random_instance(config) for config in configs]
+    monkeypatch.setattr(G.generators, "_STACK_ENTRIES", stack_entries)
+    batched = G.generators.random_instances(configs)
+    assert len(batched) == len(configs)
+    for config, single, point in zip(configs, singles, batched):
+        assert point.functions == single.functions, config
+        assert point.flags == single.flags, config
+        for a, b in ((point.tangent.matrix, single.tangent.matrix),
+                     (point.sff.coeffs, single.sff.coeffs)):
+            assert a.tobytes() == b.tobytes(), config
+
+
+def test_no_configs_give_no_instances():
+    assert G.generators.random_instances([]) == []
+
+
+def _reference_rotation(dim, angles):
+    """The Givens sweep one rotation at a time, row by row on Python floats."""
+    block = dim - 2
+    g = np.eye(block).tolist()
+    for (i, j), angle in zip(G.generators._givens_sweep(block), angles):
+        c, s = math.cos(angle), math.sin(angle)
+        gi, gj = g[i], g[j]
+        g[i] = [c * x - s * y for x, y in zip(gi, gj)]
+        g[j] = [s * x + c * y for x, y in zip(gi, gj)]
+    rotation = np.eye(dim)
+    rotation[:block, :block] = g
+    return rotation
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 13])
+def test_stacked_givens_sweep_matches_the_loop_bit_for_bit(m):
+    dim = 2 * m + 2
+    rng = np.random.default_rng(m)
+    angles = rng.uniform(0.0, 2.0 * math.pi,
+                         size=(7, len(G.generators._givens_sweep(2 * m)))).tolist()
+    stacked = G.generators._rotations(dim, angles)
+    for rotation, row in zip(stacked, angles):
+        assert rotation.tobytes() == _reference_rotation(dim, row).tobytes()

@@ -6,6 +6,7 @@ import pytest
 
 import gssf as G
 from gssf.scenario import assemble
+from gssf.submanifold import check_frames
 from _builders import (anti_invariant_point, invariant_point, normal_frame, project, random_unit_l,
                        sff_with, spot_point, tn_decompose)
 
@@ -115,6 +116,22 @@ def test_attach_point_span_checks_match_gram_schmidt(name):
         else:
             with pytest.raises(expected):
                 G.attach_point(ambient, functions, raw, sff)
+
+
+@pytest.mark.parametrize("name", ["repeated", "near-dependent-long", "zero", "xi-off-1e-8"])
+def test_frame_stack_check_reports_a_bad_frame_as_it_does_alone(name):
+    # the stacked check of generated batches, on one bad frame between
+    # good ones of its shape: same error class, same detail
+    ambient, bad = _SPAN_AMBIENT, np.array(_SPAN_CASES[name])
+    rng = np.random.default_rng(8)
+    good = [np.vstack([rng.normal(size=(len(bad) - 2, ambient.dim)), ambient.xi])
+            for _ in range(4)]
+    check_frames(np.stack(good), ambient.xi, G.DEFAULT)
+    with pytest.raises(G.GssfError) as alone:
+        check_frames(bad[None], ambient.xi, G.DEFAULT)
+    with pytest.raises(type(alone.value)) as stacked:
+        check_frames(np.stack(good[:2] + [bad] + good[2:]), ambient.xi, G.DEFAULT)
+    assert str(stacked.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("raw, error", [
