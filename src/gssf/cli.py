@@ -21,15 +21,13 @@ import numpy as np
 from .ambient import MAX_M, canonical_model, preset_structure_functions
 from .config import DEFAULT
 from .errors import BadConfig, GssfError, UsageError
-from .generators import GeneratorConfig, random_instances
+from .generators import GeneratorConfig, batches, random_instances
 from .inequalities import ShapeOperatorForm, equality_instance, equality_pattern, frame_sweep
 from .jsonutil import dumps
 from .scenario import assemble, build_report, load_scenario, run_checks
 from .submanifold import scalar_identity_check
 
 _CONSTRAINT_CHOICES = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")
-#: fuzz trials generated in one batch; it bounds the points held at once
-_FUZZ_CHUNK = 256
 
 
 def _resolve_tol(args) -> float:
@@ -82,16 +80,16 @@ def _cmd_report(args) -> int:
 
 
 def _fuzz_points(seed: int, count: int, lo: int, hi: int, constraint: str):
-    """(seed, point) of each fuzz trial in turn, the points generated
-    ``_FUZZ_CHUNK`` at a time; each is dropped once the next is taken."""
-    for start in range(0, count, _FUZZ_CHUNK):
-        configs = []
-        for trial in range(start, min(start + _FUZZ_CHUNK, count)):
+    """(seed, point) of each fuzz trial in turn, the points generated in
+    ``generators.batches``; each is dropped once the next is taken."""
+    def configs():
+        for trial in range(count):
             n = lo + trial % (hi - lo + 1)
-            m = n + trial % 2
-            configs.append(GeneratorConfig(seed=seed + trial, n=n, m=m, constraint=constraint))
-        points = random_instances(configs)
-        for index, config in enumerate(configs):
+            yield GeneratorConfig(seed=seed + trial, n=n, m=n + trial % 2, constraint=constraint)
+
+    for batch in batches(configs()):
+        points = random_instances(batch)
+        for index, config in enumerate(batch):
             point, points[index] = points[index], None
             yield config.seed, point
 

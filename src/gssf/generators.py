@@ -120,8 +120,31 @@ def random_sff(rng: np.random.Generator, normal_rank: int, tangent_dim: int,
     return SecondFundamentalForm(coeffs)
 
 
-#: most entries of one stack of rotations: it bounds a batch's memory at large m
-_STACK_ENTRIES = 1 << 20
+#: most float entries that one batch of configs draws and builds
+BATCH_ENTRIES = 1 << 17
+
+
+def _entries(config: GeneratorConfig) -> int:
+    """Float entries of a config's form, rotation and frame, plus 128 for
+    the point's objects (about 1 KB a point at n = 1)."""
+    dim = 2 * config.m + 2
+    k = config.n + 2
+    return (dim - k) * k ** 2 + dim ** 2 + k * dim + 128
+
+
+def batches(configs):
+    """The configs in order, in consecutive lists of at most
+    ``BATCH_ENTRIES`` entries each; a config over the budget is a list
+    of its own."""
+    batch, entries = [], 0
+    for config in configs:
+        if batch and entries + _entries(config) > BATCH_ENTRIES:
+            yield batch
+            batch, entries = [], 0
+        batch.append(config)
+        entries += _entries(config)
+    if batch:
+        yield batch
 
 
 @functools.cache
@@ -195,12 +218,19 @@ def random_instances(configs) -> list[SubmanifoldPoint]:
     coefficients.
 
     Every config draws from its own generator, so each instance is a
-    pure function of its config.  Configs of equal (n, m) share one
-    stacked Givens sweep and one stacked frame check; the per-vector
-    orthonormalization stays per instance, so the bits are those of
-    building each instance alone.
+    pure function of its config.  The configs are taken in ``batches``;
+    those of equal (n, m) in a batch share one stacked Givens sweep and
+    one stacked frame check, and the per-vector orthonormalization stays
+    per instance, so the bits are those of building each instance alone.
     """
-    configs = list(configs)
+    points: list[SubmanifoldPoint] = []
+    for batch in batches(configs):
+        points += _batch_instances(batch)
+    return points
+
+
+def _batch_instances(configs: list[GeneratorConfig]) -> list[SubmanifoldPoint]:
+    """The instances of one batch: one sweep and one check per (n, m)."""
     draws = [_draws(config) for config in configs]
     classes: dict[tuple[int, int], list[int]] = {}
     for index, config in enumerate(configs):
@@ -209,21 +239,17 @@ def random_instances(configs) -> list[SubmanifoldPoint]:
     points: list = [None] * len(configs)
     for (n, m), indices in classes.items():
         ambient = canonical_model(m)
-        dim = ambient.dim
-        size = max(1, _STACK_ENTRIES // dim ** 2)
-        for start in range(0, len(indices), size):
-            batch = indices[start:start + size]
-            rotations = _rotations(dim, [draws[i].angles for i in batch])
-            frames = np.empty((len(batch), n + 2, dim))
-            frames[:, n:] = ambient.xi
-            for frame, rotation, i in zip(frames, rotations, batch):
-                for k, v in enumerate(draws[i].base):
-                    frame[k] = rotation @ v
-            check_frames(frames, ambient.xi, DEFAULT)
-            for frame, i in zip(frames, batch):
-                flags = PointFlags(c_compatible="c_compatible" in configs[i].constraint)
-                points[i] = point_on_checked_frame(ambient, draws[i].functions, frame,
-                                                   draws[i].sff, flags, DEFAULT)
+        rotations = _rotations(ambient.dim, [draws[i].angles for i in indices])
+        frames = np.empty((len(indices), n + 2, ambient.dim))
+        frames[:, n:] = ambient.xi
+        for frame, rotation, i in zip(frames, rotations, indices):
+            for k, v in enumerate(draws[i].base):
+                frame[k] = rotation @ v
+        check_frames(frames, ambient.xi, DEFAULT)
+        for frame, i in zip(frames, indices):
+            flags = PointFlags(c_compatible="c_compatible" in configs[i].constraint)
+            points[i] = point_on_checked_frame(ambient, draws[i].functions, frame,
+                                               draws[i].sff, flags, DEFAULT)
     return points
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 
@@ -144,7 +145,7 @@ def test_fuzz_output_bytes_are_pinned(constraint):
 
 
 def test_fuzz_output_bytes_across_generation_batches_are_pinned():
-    # 600 trials are three generation batches: the bytes of one at a time
+    # 600 trials span several generation batches: the bytes of one at a time
     code, out, err = run_main("fuzz", "--seed", "7", "--count", "600", "--n-range", "1..6",
                               "--constraint", "minimal_and_c_compatible")
     assert (code, err) == (0, "")
@@ -169,6 +170,23 @@ def test_report_output_bytes_are_pinned(tmp_path, name):
     code, out, err = run_main("report", write_scenario(tmp_path, scenario))
     assert err == ""
     assert hashlib.sha256(f"{code}\n{out}".encode("utf-8")).hexdigest() == REPORT_GOLDEN[name]
+
+
+def test_fuzz_memory_does_not_grow_with_the_count_at_large_n():
+    # an n = 40 trial is over the generation budget, so it is generated in
+    # a batch of its own and dropped before the next: ten peak where one does
+    def peak(count):
+        tracemalloc.start()
+        try:
+            code, _, err = run_main("fuzz", "--count", str(count), "--n-range", "40..40",
+                                    "--out", os.devnull)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        return top
+
+    assert peak(10) < 1.5 * peak(1)
 
 
 def test_fuzz_count_zero_exits_2():

@@ -164,17 +164,16 @@ def test_generator_output_bits_are_pinned(monkeypatch):
     assert digest.hexdigest() == GENERATOR_GOLDEN
 
 
-@pytest.mark.parametrize("stack_entries", [G.generators._STACK_ENTRIES, 1000])
-def test_batched_generation_keeps_the_bits_of_single_calls(monkeypatch, stack_entries):
+@pytest.mark.parametrize("batch_entries", [G.generators.BATCH_ENTRIES, 1000])
+def test_batched_generation_keeps_the_bits_of_single_calls(monkeypatch, batch_entries):
     # 720 configs, n = 1..12 and m = n..n+2, every constraint, in shuffled
-    # order; 1000 stack entries cut each (n, m) class into stacks of
-    # 1 (dim 26 and up) to 62 (dim 4) trials
+    # order, cut into 164 batches of 1 to 3 configs at 1000 entries
     configs = [G.GeneratorConfig(seed=5000 + 100 * n + 10 * (m - n) + k, n=n, m=m,
                                  constraint=_CONSTRAINTS[k % 4])
                for n in range(1, 13) for m in range(n, n + 3) for k in range(5)]
     random.Random(18).shuffle(configs)
     singles = [G.random_instance(config) for config in configs]
-    monkeypatch.setattr(G.generators, "_STACK_ENTRIES", stack_entries)
+    monkeypatch.setattr(G.generators, "BATCH_ENTRIES", batch_entries)
     batched = G.generators.random_instances(configs)
     assert len(batched) == len(configs)
     for config, single, point in zip(configs, singles, batched):
@@ -187,6 +186,20 @@ def test_batched_generation_keeps_the_bits_of_single_calls(monkeypatch, stack_en
 
 def test_no_configs_give_no_instances():
     assert G.generators.random_instances([]) == []
+
+
+def test_batches_keep_the_order_and_fill_the_entry_budget():
+    gen = G.generators
+    configs = [G.GeneratorConfig(seed=k, n=n, m=n + k % 2)
+               for k, n in enumerate([1, 6, 30, 2, 60, 3, 12] * 20)]
+    cut = list(gen.batches(iter(configs)))
+    assert [config for batch in cut for config in batch] == configs
+    entries = [sum(map(gen._entries, batch)) for batch in cut]
+    # over the budget only alone; each batch stops where the next config overflows it
+    assert all(len(batch) == 1 or total <= gen.BATCH_ENTRIES for batch, total in zip(cut, entries))
+    assert all(total + gen._entries(following[0]) > gen.BATCH_ENTRIES
+               for total, following in zip(entries, cut[1:]))
+    assert list(gen.batches([])) == []
 
 
 def _reference_rotation(dim, angles):

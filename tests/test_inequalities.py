@@ -222,11 +222,10 @@ def test_c_form_classifier_compares_sigma_on_one_scale():
     # tol.equality for every U, and so is |sigma|^2, so the shape class holds
     functions = G.preset_structure_functions("c_space_form", 1.3)
     fixed = tuple((v, v) for v in functions.as_tuple())
-    for trial in range(150):
-        n = 2 + trial % 5
-        point = G.random_instance(G.GeneratorConfig(
-            seed=trial, n=n, m=n + trial % 2, sigma_scale=1e-6, f_ranges=fixed,
-            constraint="c_compatible"))
+    configs = [G.GeneratorConfig(seed=trial, n=2 + trial % 5, m=2 + trial % 5 + trial % 2,
+                                 sigma_scale=1e-6, f_ranges=fixed, constraint="c_compatible")
+               for trial in range(150)]
+    for trial, point in enumerate(G.generators.random_instances(configs)):
         rep = G.c_form_equality_classifier(point)
         assert rep.all_u_equality and rep.matches, (trial, rep)
 
@@ -700,13 +699,13 @@ def test_plane_infimum_lower_value_is_below_k_at_random_planes():
 
 def test_small_n_infimum_matches_the_search_without_running_it():
     kinds = {3: "exact", 4: "thorpe", 5: "kkt", 6: "kkt"}
-    for trial in range(200):
-        n = 3 + trial % 4
-        point = G.random_instance(G.GeneratorConfig(
-            seed=10_000 + trial, n=n, m=n + (trial // 4) % 2,
-            constraint=_CONSTRAINTS[(trial // 8) % 4]))
+    configs = [G.GeneratorConfig(seed=10_000 + trial, n=3 + trial % 4,
+                                 m=3 + trial % 4 + (trial // 4) % 2,
+                                 constraint=_CONSTRAINTS[(trial // 8) % 4])
+               for trial in range(200)]
+    for point in G.generators.random_instances(configs):
         result = G.minimize_sectional_plane(point)
-        assert result.certificate == kinds[n]
+        assert result.certificate == kinds[point.n]
         searched, _, _ = reference_plane_search(point)
         assert abs(result.upper - searched) <= 1e-10 * max(1.0, abs(searched))
         assert result.lower <= searched + 1e-12 * max(1.0, abs(searched))  # K to rounding

@@ -288,11 +288,9 @@ def test_scalar_identity_spot_and_structure():
 
 
 def test_scalar_identity_fuzz():
-    for trial in range(150):
-        n = 1 + trial % 6
-        cfg = G.GeneratorConfig(seed=3_000 + trial, n=n, m=max(n, 2),
-                                constraint="none")
-        point = G.random_instance(cfg)
+    configs = [G.GeneratorConfig(seed=3_000 + trial, n=1 + trial % 6, m=max(1 + trial % 6, 2),
+                                 constraint="none") for trial in range(150)]
+    for point in G.generators.random_instances(configs):
         result = G.scalar_identity_check(point)
         assert result.abs_diff <= 1e-9 * max(1.0, abs(result.lhs))
 
