@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from .ambient import MAX_M, canonical_model, preset_structure_functions
-from .config import DEFAULT
+from .config import DEFAULT, Tolerances
 from .errors import BadConfig, GssfError, UsageError
-from .generators import GeneratorConfig, batches, random_instances
+from .generators import GeneratorConfig, random_instances
 from .inequalities import ShapeOperatorForm, equality_instance, equality_pattern, frame_sweep
 from .jsonutil import dumps
 from .scenario import assemble, build_report, load_scenario, run_checks
@@ -30,19 +30,19 @@ from .submanifold import scalar_identity_check
 _CONSTRAINT_CHOICES = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")
 
 
-def _resolve_tol(args) -> float:
-    """The equality tolerance from ``--tol``, else ``GSSF_TOL``, else the
-    default; anything but a finite number >= 0 is a ``BadConfig``."""
+def _resolve_tol(args) -> Tolerances:
+    """``DEFAULT`` with the equality tolerance of ``--tol``, else of
+    ``GSSF_TOL``; anything but a finite number >= 0 is a ``BadConfig``."""
     if getattr(args, "tol", None) is not None:
         source, text = "--tol", args.tol
     else:
         source, text = "GSSF_TOL", os.environ.get("GSSF_TOL")
         if text is None:
-            return DEFAULT.equality
+            return DEFAULT
     tol = _finite(text, source)
     if tol < 0.0:
         raise BadConfig(f"{source} must be a finite number >= 0, got {text!r}")
-    return tol
+    return dataclasses.replace(DEFAULT, equality=tol)
 
 
 def _finite(text: str, source: str) -> float:
@@ -71,27 +71,12 @@ def _input_error(name: str, message: str) -> int:
 
 
 def _cmd_report(args) -> int:
-    tol = dataclasses.replace(DEFAULT, equality=_resolve_tol(args))
+    tol = _resolve_tol(args)
     data = load_scenario(args.scenario)
     point, checks, echo = assemble(data)
     records, summary = run_checks(point, checks, tol)
     _emit(dumps(build_report(echo, records, summary, tol.equality)), args.out)
     return 0 if summary["fail_count"] == 0 else 1
-
-
-def _fuzz_points(seed: int, count: int, lo: int, hi: int, constraint: str):
-    """(seed, point) of each fuzz trial in turn, the points generated in
-    ``generators.batches``; each is dropped once the next is taken."""
-    def configs():
-        for trial in range(count):
-            n = lo + trial % (hi - lo + 1)
-            yield GeneratorConfig(seed=seed + trial, n=n, m=n + trial % 2, constraint=constraint)
-
-    for batch in batches(configs()):
-        points = random_instances(batch)
-        for index, config in enumerate(batch):
-            point, points[index] = points[index], None
-            yield config.seed, point
 
 
 def _cmd_fuzz(args) -> int:
@@ -106,7 +91,7 @@ def _cmd_fuzz(args) -> int:
     if hi + 1 > MAX_M:  # trials alternate m = n and m = n + 1
         return _input_error("BadConfig",
                             f"--n-range must end at most at {MAX_M - 1} (m <= {MAX_M})")
-    tol_eq = _resolve_tol(args)
+    tol = _resolve_tol(args)
 
     worst_slack = None
     worst_slack_info = None
@@ -115,26 +100,30 @@ def _cmd_fuzz(args) -> int:
     violations = []
     checks_run = 0
 
-    for seed, point in _fuzz_points(args.seed, args.count, lo, hi, args.constraint):
+    width = hi - lo + 1
+    configs = (GeneratorConfig(seed=args.seed + trial, n=lo + trial % width,
+                               m=lo + trial % width + trial % 2, constraint=args.constraint)
+               for trial in range(args.count))
+    for seed, point in enumerate(random_instances(configs), start=args.seed):
         identity = scalar_identity_check(point)
         rel = identity.abs_diff / max(1.0, abs(identity.lhs), abs(identity.rhs))
         if rel > worst_ident:
             worst_ident = rel
             worst_ident_seed = seed
-        if rel > tol_eq:
+        if not identity.holds(tol):
             violations.append({"seed": seed, "check": "scalar_identity", "slack": -rel})
 
         # Ricci at every L-frame direction, then every frame plane pair;
         # argmin keeps the first of equal slacks, so ties go to the
         # check reported first.
-        sweep = frame_sweep(point)
+        sweep = frame_sweep(point, tol)
         slacks = sweep.slacks
         checks_run += 1 + slacks.size
         k = int(np.argmin(slacks))
         if worst_slack is None or slacks[k] < worst_slack:
             worst_slack = float(slacks[k])
             worst_slack_info = {"seed": seed, "check": sweep.label(k)}
-        for k in np.flatnonzero(slacks < -tol_eq):
+        for k in np.flatnonzero(~sweep.passed):
             violations.append({"seed": seed, "check": sweep.label(k),
                                "slack": float(slacks[k])})
 
@@ -145,7 +134,7 @@ def _cmd_fuzz(args) -> int:
         "count": args.count,
         "n_range": [lo, hi],
         "constraint": args.constraint,
-        "tolerance": tol_eq,
+        "tolerance": tol.equality,
         "summary": {
             "trials": args.count,
             "checks_run": checks_run,

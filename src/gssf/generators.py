@@ -212,7 +212,7 @@ def _draws(config: GeneratorConfig) -> _Draws:
     return _Draws(functions, base, angles, sff)
 
 
-def random_instances(configs) -> list[SubmanifoldPoint]:
+def random_instances(configs):
     """``random_instance`` of each config, in order: rotated slant or
     generic frame, uniform structure functions, constrained random form
     coefficients.
@@ -222,11 +222,13 @@ def random_instances(configs) -> list[SubmanifoldPoint]:
     those of equal (n, m) in a batch share one stacked Givens sweep and
     one stacked frame check, and the per-vector orthonormalization stays
     per instance, so the bits are those of building each instance alone.
+    A generator: each point is dropped here once it is taken.
     """
-    points: list[SubmanifoldPoint] = []
     for batch in batches(configs):
-        points += _batch_instances(batch)
-    return points
+        points = _batch_instances(batch)
+        points.reverse()
+        while points:
+            yield points.pop()
 
 
 def _batch_instances(configs: list[GeneratorConfig]) -> list[SubmanifoldPoint]:
@@ -255,4 +257,4 @@ def _batch_instances(configs: list[GeneratorConfig]) -> list[SubmanifoldPoint]:
 
 def random_instance(config: GeneratorConfig) -> SubmanifoldPoint:
     """The instance of one config; see ``random_instances``."""
-    return random_instances([config])[0]
+    return next(random_instances([config]))

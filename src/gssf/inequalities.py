@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambient import AmbientModel, StructureFunctions
+from .ambient import AmbientModel, StructureFunctions, preset_structure_functions
 from .config import DEFAULT, Tolerances
 from .errors import (
     BadK,
@@ -48,6 +48,8 @@ from .submanifold import (
 class BoundReport:
     """One verified inequality: lhs <= rhs, slack = rhs - lhs.
 
+    It ``passed`` when slack >= -margin and is an ``equality`` when
+    |slack| <= margin (see ``_margin``), so a failed bound is no equality.
     ``defect_terms``, when present, are named nonnegative contributions
     that sum to the slack exactly (an identity, not an estimate).
     """
@@ -56,12 +58,21 @@ class BoundReport:
     rhs: float
     slack: float
     equality: bool
+    passed: bool
     defect_terms: tuple[tuple[str, float], ...] | None = None
 
     def defect_sum(self) -> float | None:
         if self.defect_terms is None:
             return None
         return float(sum(v for _, v in self.defect_terms))
+
+
+def _margin(tol: Tolerances, lhs, rhs):
+    """The margin of a bound's verdicts: ``tol.equality`` times max(1, |lhs|,
+    |rhs|), elementwise, since rounding grows with the size of the sides;
+    infinite where that product overflows."""
+    with np.errstate(over="ignore"):
+        return tol.equality * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
 def _bound_report(what: str, lhs: float, rhs: float, tol: Tolerances,
@@ -71,8 +82,9 @@ def _bound_report(what: str, lhs: float, rhs: float, tol: Tolerances,
     slack = finite(rhs - lhs, f"the slack of the {what}")
     for name, value in defect_terms or ():
         finite(value, f"the {name} term of the {what}")
-    return BoundReport(lhs=lhs, rhs=rhs, slack=slack, equality=slack <= tol.equality,
-                       defect_terms=defect_terms)
+    margin = float(_margin(tol, lhs, rhs))
+    return BoundReport(lhs=lhs, rhs=rhs, slack=slack, equality=abs(slack) <= margin,
+                       passed=slack >= -margin, defect_terms=defect_terms)
 
 
 @dataclass(frozen=True)
@@ -165,32 +177,22 @@ def chen_lemma_check(a, c: float, tol: Tolerances = DEFAULT) -> ChenLemmaReport:
     )
 
 
-def _require_s_form_preset(f: StructureFunctions, tol: Tolerances):
-    """The structure functions must match the constant-curvature S-family."""
-    residual = max(
-        abs(f.f2 - (f.f1 - 2.0)), abs(f.f3 - (f.f1 - 2.0)),
-        abs(f.f11 - (f.f1 - 1.0)), abs(f.f22 - (f.f1 - 1.0)),
-        abs(f.f12 + 1.0), abs(f.f21 + 1.0),
-    )
-    if residual > tol.equality:
-        raise VariantPreconditionViolated(
-            f"structure functions are not an S-family preset (residual {residual:.3e})"
-        )
-
-
-def _require_c_form_preset(point: SubmanifoldPoint, tol: Tolerances):
+def _require_preset(point: SubmanifoldPoint, kind: str, tol: Tolerances):
+    """The structure functions must be the ``kind`` preset at the point's own
+    F1, the one of c = 4 F1 - 6 for ``s_space_form`` and c = 4 F1 for
+    ``c_space_form``; the C-family also needs the c_compatible flag."""
     f = point.functions
-    if not point.flags.c_compatible:
+    if kind == "c_space_form" and not point.flags.c_compatible:
         raise VariantPreconditionViolated(
             "the C-family bound needs the c_compatible flag (sigma(., xi) = 0)"
         )
-    residual = max(
-        abs(f.f2 - f.f1), abs(f.f3 - f.f1), abs(f.f11 - f.f1),
-        abs(f.f22 - f.f1), abs(f.f12), abs(f.f21),
-    )
+    c = finite(4.0 * f.f1 - (6.0 if kind == "s_space_form" else 0.0),
+               f"the {kind} curvature c of F1 = {f.f1!r}")
+    preset = preset_structure_functions(kind, c)
+    residual = max(abs(x - y) for x, y in zip(f.as_tuple(), preset.as_tuple()))
     if residual > tol.equality:
         raise VariantPreconditionViolated(
-            f"structure functions are not a C-family preset (residual {residual:.3e})"
+            f"structure functions are not a {kind} preset (residual {residual:.3e})"
         )
 
 
@@ -246,10 +248,10 @@ def ricci_bound(point: SubmanifoldPoint, u, variant: str = "general",
         rhs = _ricci_rhs(n, f, h_sq, tu_sq)
         upper = n + 2
     elif variant == "s_form":
-        _require_s_form_preset(f, tol)
+        _require_preset(point, "s_space_form", tol)
         rhs = quarter * h_sq + (n - 1) * f.f1 + (3.0 * f.f1 - 4.0) * tu_sq
     elif variant == "c_form":
-        _require_c_form_preset(point, tol)
+        _require_preset(point, "c_space_form", tol)
         rhs = quarter * h_sq + ((n - 1) + 3.0 * tu_sq) * f.f1
         upper = n
     else:
@@ -284,11 +286,13 @@ class FrameSweep:
 
     ``slacks`` lists the Ricci bound at L-frame directions u = 1..n,
     then the plane bound at frame pairs i < j in lexicographic order:
-    the order in which ``gssf fuzz`` reports its checks.
+    the order in which ``gssf fuzz`` reports its checks.  ``passed`` marks
+    each slack that passes, decided as :class:`BoundReport` decides it.
     """
 
     n: int
     slacks: np.ndarray
+    passed: np.ndarray
 
     @property
     def ricci_slacks(self) -> np.ndarray:
@@ -323,7 +327,7 @@ def _sweep_layout(n: int):
     return layout
 
 
-def frame_sweep(point: SubmanifoldPoint) -> FrameSweep:
+def frame_sweep(point: SubmanifoldPoint, tol: Tolerances = DEFAULT) -> FrameSweep:
     """The general Ricci bound at every L-frame direction and the plane
     bound at every L-frame pair, in closed form from cached arrays.
 
@@ -355,8 +359,15 @@ def frame_sweep(point: SubmanifoldPoint) -> FrameSweep:
         f_sq = phi[pair_i, pair_j] ** 2
         delta_lhs = point.tau - k[pair_i, pair_j]
         delta_rhs = _delta_rhs(n, f, h_sq) + 3.0 * f.f2 * (point.t_norm_sq / 2.0 - f_sq)
-        slacks = np.concatenate([ricci_rhs - ric, delta_rhs - delta_lhs])
-    return FrameSweep(n=n, slacks=finite(slacks, "a slack of the frame sweep"))
+        slacks = finite(np.concatenate([ricci_rhs - ric, delta_rhs - delta_lhs]),
+                        "a slack of the frame sweep")
+    # no margin is below tol.equality, so sizing the sides is needed only
+    # where some slack falls below -tol.equality
+    passed = slacks >= -tol.equality
+    if not passed.all():
+        passed = slacks >= -_margin(tol, np.concatenate([ric, delta_lhs]),
+                                    np.concatenate([ricci_rhs, delta_rhs]))
+    return FrameSweep(n=n, slacks=slacks, passed=passed)
 
 
 def ricci_equality_diagnosis(point: SubmanifoldPoint, u,
@@ -365,8 +376,7 @@ def ricci_equality_diagnosis(point: SubmanifoldPoint, u,
     membership of U in the relative null space (the two are equivalent)."""
     if math.sqrt(point.h_norm_sq) > tol.equality:
         raise NotMinimal("the diagnosis applies to minimal points only")
-    report = ricci_bound(point, u, "general", tol)
-    equality = abs(report.slack) <= tol.equality
+    equality = ricci_bound(point, u, "general", tol).equality
     v = as_vec(u, dim=point.ambient.dim)
     kernel = relative_null_space(point, tol)
     proj = np.zeros_like(v)
@@ -404,7 +414,7 @@ def c_form_equality_classifier(point: SubmanifoldPoint,
     n = point.n
     if n < 2:
         raise VariantPreconditionViolated("the classifier needs n >= 2")
-    _require_c_form_preset(point, tol)
+    _require_preset(point, "c_space_form", tol)
 
     all_eq = bool(np.linalg.norm(_c_form_slack_form(point), 2) <= tol.equality)
     expected = "totally_f_umbilical" if n == 2 else "totally_geodesic"
@@ -468,7 +478,7 @@ def delta_equality_shape_check(point: SubmanifoldPoint, x, y,
     a, b = _orthonormal_l_pair(point, x, y, tol)
     pair = np.vstack([a[:n], b[:n]])
     c_tan = np.eye(n + 2)  # structure rows fixed
-    c_tan[:n, :n] = np.vstack([pair, complete_basis(pair, n - 2)]) if n > 2 else pair
+    c_tan[:n, :n] = np.vstack([pair, complete_basis(pair, n - 2)])
     sigma = np.einsum("ai,bj,rij->rab", c_tan, c_tan, point.sff.coeffs)
 
     rank = sigma.shape[0]
@@ -479,8 +489,7 @@ def delta_equality_shape_check(point: SubmanifoldPoint, x, y,
     h_norm = float(np.linalg.norm(h))
     if h_norm > tol.equality:
         first = h / h_norm
-        rest = complete_basis(first[None, :], rank - 1)
-        q = np.vstack([first[None, :], rest]) if rank > 1 else first[None, :]
+        q = np.vstack([first[None, :], complete_basis(first[None, :], rank - 1)])
         sigma = np.einsum("qr,rab->qab", q, sigma)
 
     pairs = tuple((float(block[0, 0]), float(block[0, 1])) for block in sigma[1:])

@@ -39,13 +39,12 @@ def _record(name: str, lhs=None, rhs=None, slack=None, equality=None,
             "passed": passed, "diagnostics": diagnostics or {}}
 
 
-def _bound_record(name: str, report, diagnostics: dict, tol: Tolerances) -> dict:
+def _bound_record(name: str, report, diagnostics: dict) -> dict:
     diag = dict(diagnostics)
     if report.defect_terms is not None:
         diag["defect_terms"] = [[k, v] for k, v in report.defect_terms]
     return _record(name, lhs=report.lhs, rhs=report.rhs, slack=report.slack,
-                   equality=report.equality,
-                   passed=report.slack >= -tol.equality, diagnostics=diag)
+                   equality=report.equality, passed=report.passed, diagnostics=diag)
 
 
 def _directions(check: dict, n: int) -> list[int]:
@@ -71,7 +70,7 @@ def _planes(check: dict, n: int) -> list[tuple[int, int]]:
 
 def _scalar_identity(point: SubmanifoldPoint, check: dict, tol: Tolerances) -> list[dict]:
     result = scalar_identity_check(point)
-    within = result.abs_diff <= tol.equality * result.scale
+    within = result.holds(tol)
     return [_record("scalar_identity", lhs=result.lhs, rhs=result.rhs,
                     slack=result.rhs - result.lhs, equality=within, passed=within,
                     diagnostics={"tau": point.tau, "abs_diff": result.abs_diff})]
@@ -90,7 +89,7 @@ def _ricci_bound(point: SubmanifoldPoint, check: dict, tol: Tolerances) -> list[
     frame = point.tangent.matrix
     return [_bound_record(f"ricci_bound[{variant},u={u}]",
                           ricci_bound(point, frame[u - 1], variant, tol),
-                          {"variant": variant, "u": u}, tol)
+                          {"variant": variant, "u": u})
             for u in _directions(check, point.n)]
 
 
@@ -111,7 +110,7 @@ def _delta_bound(point: SubmanifoldPoint, check: dict, tol: Tolerances) -> list[
     frame = point.tangent.matrix
     return [_bound_record(f"delta_bound[{i},{j}]",
                           delta_bound(point, frame[i - 1], frame[j - 1], slant_mode, tol),
-                          {"plane": [i, j], "slant_mode": slant_mode}, tol)
+                          {"plane": [i, j], "slant_mode": slant_mode})
             for i, j in _planes(check, point.n)]
 
 
@@ -119,10 +118,10 @@ def _global_delta(point: SubmanifoldPoint, check: dict, tol: Tolerances) -> list
     report = global_delta_bounds(point, tol=tol)
     diag = {"inf_k": report.inf_k, "inf_k_lower": report.inf_k_lower,
             "certificate": report.certificate, **report.equality_diagnosis}
-    records = [_bound_record(f"global_delta[{report.branch}]", report.bound, diag, tol)]
+    records = [_bound_record(f"global_delta[{report.branch}]", report.bound, diag)]
     if report.four_dim_slant is not None:
         records.append(_bound_record("global_delta[four_dim_slant]",
-                                     report.four_dim_slant, {}, tol))
+                                     report.four_dim_slant, {}))
     return records
 
 

@@ -129,6 +129,10 @@ class ScalarIdentityReport:
     abs_diff: float
     scale: float
 
+    def holds(self, tol: Tolerances) -> bool:
+        """Whether the two sides agree to ``tol.equality`` relative to ``scale``."""
+        return self.abs_diff <= tol.equality * self.scale
+
 
 @dataclass(frozen=True)
 class SffClassification:
@@ -494,19 +498,14 @@ def classify_sff(point: SubmanifoldPoint, tol: Tolerances = DEFAULT) -> SffClass
     minimal = math.sqrt(point.h_norm_sq) <= tol.equality
     totally_geodesic = bool(np.max(np.abs(s), initial=0.0) <= tol.equality)
 
-    fitted = s[:, 0, 0] if s.shape[0] else np.zeros(0)
+    fitted = s[:, 0, 0]
     umb_model = fitted[:, None, None] * np.eye(t)[None, :, :]
     totally_umbilical = bool(np.max(np.abs(s - umb_model), initial=0.0) <= tol.equality)
 
     l_block = s[:, :n, :n]
     totally_f_geodesic = bool(np.max(np.abs(l_block), initial=0.0) <= tol.equality)
-    if n:
-        umb_model_l = fitted[:, None, None] * np.eye(n)[None, :, :]
-        totally_f_umbilical = bool(
-            np.max(np.abs(l_block - umb_model_l), initial=0.0) <= tol.equality
-        )
-    else:
-        totally_f_umbilical = True
+    umb_model_l = fitted[:, None, None] * np.eye(n)[None, :, :]
+    totally_f_umbilical = bool(np.max(np.abs(l_block - umb_model_l), initial=0.0) <= tol.equality)
     return SffClassification(
         minimal=minimal,
         totally_geodesic=totally_geodesic,

@@ -40,7 +40,8 @@ class CorpusStats:
 
 @pytest.fixture(scope="session")
 def corpus() -> CorpusStats:
-    points = G.generators.random_instances(corpus_config(index) for index in range(CORPUS_SIZE))
+    points = list(G.generators.random_instances(corpus_config(index)
+                                                for index in range(CORPUS_SIZE)))
     identity_rel = np.zeros(CORPUS_SIZE)
     ricci_min = np.full(CORPUS_SIZE, np.inf)
     defect_gap = np.zeros(CORPUS_SIZE)

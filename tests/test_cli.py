@@ -220,6 +220,64 @@ def test_construct_round_trip(tmp_path):
     assert delta["equality"] is True
 
 
+def test_construct_with_large_entries_reports_its_equality(tmp_path):
+    # delta_bound[1,2] has slack 2.4e-4 on sides of 8.3e11: rounding, and
+    # an equality against the size of its sides
+    out = str(tmp_path / "eq.json")
+    code, _, err = run_main("construct", "--form", "123456.78,87654.321,234567.89",
+                            "--pairs", "31234.567,-21234.57", "--n", "5", "--m", "6",
+                            "--out", out)
+    assert (code, err) == (0, "")
+    code, report, _ = run_main("report", out)
+    delta, identity = json.loads(report)["checks"]
+    assert code == 0
+    assert delta["slack"] > 1e-9 and delta["equality"] and delta["passed"]
+    assert identity["passed"]
+
+
+_STRUCTURE_VALUES = [0.3712, -1.234, 0.77, 0.11, 0.2, -0.3, 0.9]
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("structure", ["preset", "values"])
+def test_construct_scenarios_exit_0_at_any_scale(tmp_path, structure, scale):
+    # 40 seeded equality scenarios with form entries uniform in +-scale;
+    # with ``values`` the bound's slack can round below zero
+    rng = np.random.default_rng(int(scale) + (structure == "values"))
+    path = str(tmp_path / "eq.json")
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        m = n + int(rng.integers(1, 3))
+        form, pairs = (",".join(map(repr, rng.uniform(-scale, scale, k).tolist()))
+                       for k in (3, 2))
+        code, _, err = run_main("construct", f"--form={form}", f"--pairs={pairs}",
+                                "--n", str(n), "--m", str(m), "--out", path)
+        assert (code, err) == (0, "")
+        if structure == "values":
+            scenario = json.loads(open(path).read())
+            scenario["structure"] = {"values": _STRUCTURE_VALUES}
+            scenario["checks"].append({"name": "global_delta"})
+            write_scenario(tmp_path, scenario, "eq.json")
+        code, out, err = run_main("report", path)
+        failed = [record for record in json.loads(out)["checks"] if not record["passed"]]
+        assert code == 0 and not failed, (n, m, form, pairs, failed)
+
+
+def test_bound_failing_beyond_its_margin_at_scale_1e6_exits_1(tmp_path):
+    # F1 = 1e6, sigma = 0, |TU| = 0: the S-form sharpening misses the
+    # general bound's equality by 2, far beyond 1e-9 of sides of 1e6
+    scenario = {"ambient": {"m": 2}, "structure": {"preset": "s_space_form", "c": 3999994.0},
+                "frame": {"mode": "anti_invariant", "n": 2}, "sigma": {"coeffs": []},
+                "checks": [{"name": "ricci_bound", "variant": "s_form", "u": 1},
+                           {"name": "ricci_bound", "variant": "general", "u": 1}]}
+    code, out, _ = run_main("report", write_scenario(tmp_path, scenario))
+    s_form, general = json.loads(out)["checks"]
+    assert code == 1
+    assert s_form["lhs"] == 1000002.0 and s_form["slack"] == -2.0
+    assert not s_form["passed"] and not s_form["equality"]
+    assert general["passed"] and general["equality"]
+
+
 def test_construct_all_zero_form_is_geodesic(tmp_path):
     out = str(tmp_path / "zero.json")
     proc = run_cli("construct", "--form", "0,0,0", "--n", "2", "--m", "2",

@@ -174,7 +174,7 @@ def test_batched_generation_keeps_the_bits_of_single_calls(monkeypatch, batch_en
     random.Random(18).shuffle(configs)
     singles = [G.random_instance(config) for config in configs]
     monkeypatch.setattr(G.generators, "BATCH_ENTRIES", batch_entries)
-    batched = G.generators.random_instances(configs)
+    batched = list(G.generators.random_instances(configs))
     assert len(batched) == len(configs)
     for config, single, point in zip(configs, singles, batched):
         assert point.functions == single.functions, config
@@ -185,7 +185,7 @@ def test_batched_generation_keeps_the_bits_of_single_calls(monkeypatch, batch_en
 
 
 def test_no_configs_give_no_instances():
-    assert G.generators.random_instances([]) == []
+    assert list(G.generators.random_instances([])) == []
 
 
 def test_batches_keep_the_order_and_fill_the_entry_budget():

@@ -144,6 +144,32 @@ def test_variant_preconditions():
         G.ricci_bound(point, point.tangent.matrix[0], "no_such_variant")
 
 
+@pytest.mark.parametrize("kind, variant", [("s_space_form", "s_form"), ("c_space_form", "c_form")])
+@pytest.mark.parametrize("c", [-3.5, 0.0, 2.0, 1e6])
+def test_variant_needs_the_preset_of_its_own_f1(kind, variant, c):
+    # each of the seven functions is checked: moving any one of them off
+    # the family's preset by 1e-6 violates the precondition
+    values = G.preset_structure_functions(kind, c).as_tuple()
+    for k in range(-1, 7):
+        moved = [v + 1e-6 * (index == k) for index, v in enumerate(values)]
+        point = invariant_point(n=2, m=2, functions=G.StructureFunctions(*moved),
+                                flags=G.PointFlags(c_compatible=True))
+        if k < 0:
+            G.ricci_bound(point, point.tangent.matrix[0], variant)
+        else:
+            with pytest.raises(G.VariantPreconditionViolated):
+                G.ricci_bound(point, point.tangent.matrix[0], variant)
+
+
+@pytest.mark.parametrize("variant", ["s_form", "c_form"])
+def test_variant_preset_beyond_the_float_range_is_non_finite(variant):
+    # c = 4 F1 (- 6) of F1 = 5e307 overflows: no finite c gives that F1
+    functions = G.StructureFunctions(5e307, 5e307, 5e307, 5e307, -1.0, -1.0, 5e307)
+    point = invariant_point(n=2, m=2, functions=functions, flags=G.PointFlags(c_compatible=True))
+    with pytest.raises(G.NonFinite):
+        G.ricci_bound(point, point.tangent.matrix[0], variant)
+
+
 # ------------------------------------------------- minimal equality case
 
 def test_ricci_equality_diagnosis_cases():
@@ -334,9 +360,27 @@ def test_frame_sweep_matches_per_point_bounds(corpus):
         for k, report in enumerate(expected):
             assert sweep.label(k) == labels[k]
             assert abs(sweep.slacks[k] - report.slack) <= 1e-12, (labels[k], report)
+            assert sweep.passed[k] == report.passed, (labels[k], report)
         defects = frame_ricci_defects(point)
         for i in range(n):
             assert abs(defects[i] - expected[i].defect_sum()) <= 1e-12
+
+
+def test_frame_sweep_decides_each_slack_against_the_size_of_its_sides():
+    # an equality instance with form entries near 1e4: plane slacks round
+    # below -tol.equality on sides near 1e9, and still pass
+    functions = G.StructureFunctions(0.3712, -1.234, 0.77, 0.11, 0.2, -0.3, 0.9)
+    form = G.ShapeOperatorForm(4835.739785214588, 5903.871311313933, 8849.005675541008,
+                               ((4797.971494798614, 8446.49993330834),))
+    point = G.equality_instance(G.canonical_model(8), functions, 6, form)
+    n, e = point.n, point.tangent.matrix
+    sweep = G.frame_sweep(point)
+    assert (sweep.slacks < -G.DEFAULT.equality).any() and sweep.passed.all()
+    expected = [G.ricci_bound(point, e[i]) for i in range(n)]
+    expected += [G.delta_bound(point, e[i], e[j]) for i in range(n) for j in range(i + 1, n)]
+    assert sweep.passed.tolist() == [report.passed for report in expected]
+    exact = G.frame_sweep(point, dataclasses.replace(G.DEFAULT, equality=0.0))
+    assert exact.passed.tolist() == (sweep.slacks >= 0.0).tolist()
 
 
 def test_frame_sweep_spot():
