@@ -21,13 +21,11 @@ import numpy as np
 from .ambient import MAX_M, canonical_model, preset_structure_functions
 from .config import DEFAULT, Tolerances
 from .errors import BadConfig, GssfError, UsageError
-from .generators import GeneratorConfig, random_instances
+from .generators import _CONSTRAINTS, GeneratorConfig, random_instances
 from .inequalities import ShapeOperatorForm, equality_instance, equality_pattern, frame_sweep
 from .jsonutil import dumps
 from .scenario import assemble, build_report, load_scenario, run_checks
 from .submanifold import scalar_identity_check
-
-_CONSTRAINT_CHOICES = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")
 
 
 def _resolve_tol(args) -> Tolerances:
@@ -81,16 +79,15 @@ def _cmd_report(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     if args.count < 1:
-        return _input_error("BadConfig", "--count must be at least 1")
+        raise BadConfig("--count must be at least 1")
     try:
         lo, hi = (int(part) for part in args.n_range.split(".."))
     except ValueError:
-        return _input_error("BadConfig", "--n-range must look like 'a..b'")
+        raise BadConfig("--n-range must look like 'a..b'") from None
     if not 1 <= lo <= hi:
-        return _input_error("BadConfig", "--n-range must satisfy 1 <= a <= b")
+        raise BadConfig("--n-range must satisfy 1 <= a <= b")
     if hi + 1 > MAX_M:  # trials alternate m = n and m = n + 1
-        return _input_error("BadConfig",
-                            f"--n-range must end at most at {MAX_M - 1} (m <= {MAX_M})")
+        raise BadConfig(f"--n-range must end at most at {MAX_M - 1} (m <= {MAX_M})")
     tol = _resolve_tol(args)
 
     worst_slack = None
@@ -224,7 +221,7 @@ def _parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--count", type=int, required=True)
     fuzz.add_argument("--n-range", default="1..5")
-    fuzz.add_argument("--constraint", choices=_CONSTRAINT_CHOICES, default="none")
+    fuzz.add_argument("--constraint", choices=_CONSTRAINTS, default="none")
     fuzz.add_argument("--out", default=None)
     fuzz.add_argument("--tol", default=None)
     fuzz.set_defaults(func=_cmd_fuzz)

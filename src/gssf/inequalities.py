@@ -152,8 +152,9 @@ def chen_lemma_check(a, c: float, tol: Tolerances = DEFAULT) -> ChenLemmaReport:
 
     For reals a_1..a_k and c with (sum a_i)^2 = (k-1)(sum a_i^2 + c),
     the product bound 2 a_1 a_2 >= c holds, with equality exactly when
-    a_1 + a_2 = a_3 = ... = a_k.  Raises NonFinite when a side of the
-    hypothesis is not finite, as where an a_i or c is.
+    a_1 + a_2 = a_3 = ... = a_k, each decided against ``_margin`` of its
+    sides.  Raises NonFinite when a side of the hypothesis or 2 a_1 a_2 - c
+    is not finite, as where an a_i or c is.
     """
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -163,17 +164,14 @@ def chen_lemma_check(a, c: float, tol: Tolerances = DEFAULT) -> ChenLemmaReport:
         total_sq = finite(float(np.square(arr.sum())), "the lemma's (sum a_i)^2")
         rhs_h = finite((k - 1) * (float(np.sum(arr ** 2)) + c),
                        "the lemma's (k - 1)(sum a_i^2 + c)")
-    hypothesis = abs(total_sq - rhs_h) <= tol.equality
-    product = 2.0 * arr[0] * arr[1]
-    inequality = product >= c - tol.equality
-    equality = abs(product - c) <= tol.equality
+    bound = _bound_report("lemma's product bound", c, 2.0 * float(arr[0]) * float(arr[1]), tol)
     tail = np.concatenate(([arr[0] + arr[1]], arr[2:]))
-    condition = float(np.max(tail) - np.min(tail)) <= tol.equality
+    top, bottom = float(np.max(tail)), float(np.min(tail))
     return ChenLemmaReport(
-        hypothesis_holds=bool(hypothesis),
-        inequality_holds=bool(inequality),
-        equality=bool(equality),
-        equality_condition_holds=bool(condition),
+        hypothesis_holds=bool(abs(total_sq - rhs_h) <= _margin(tol, total_sq, rhs_h)),
+        inequality_holds=bound.passed,
+        equality=bound.equality,
+        equality_condition_holds=bool(top - bottom <= _margin(tol, top, bottom)),
     )
 
 

@@ -10,17 +10,15 @@ Python API is 0-based.
 
 from __future__ import annotations
 
-import copy
-import functools
 import json
 import math
 
 import numpy as np
 
-from .ambient import MAX_M, StructureFunctions, canonical_model, preset_structure_functions
+from .ambient import _PRESETS, MAX_M, StructureFunctions, canonical_model, preset_structure_functions
 from .config import Tolerances
 from .errors import BadConfig, NonFinite, SchemaViolation
-from .generators import anti_invariant_frame, random_sff, slant_frame
+from .generators import _CONSTRAINTS, anti_invariant_frame, random_sff, slant_frame
 from .inequalities import delta_bound, global_delta_bounds, ricci_bound, ricci_equality_diagnosis
 from .submanifold import (
     PointFlags,
@@ -129,99 +127,112 @@ def _classify(point: SubmanifoldPoint, check: dict, tol: Tolerances) -> list[dic
     return [_record("classify", diagnostics=classify_sff(point, tol).as_dict())]
 
 
-_NUMBER = {"type": "number"}
-_EXPECT = {
-    "type": "object",
-    "additionalProperties": {"type": ["number", "boolean", "string"]},
-}
-_U = {"anyOf": [{"type": "integer", "minimum": 1}, {"const": "all"}]}
-_PLANE = {"anyOf": [{"type": "array", "items": {"type": "integer", "minimum": 1},
-                      "minItems": 2, "maxItems": 2}, {"const": "all"}]}
+# Value tests: each takes (value, path) and raises SchemaViolation naming
+# the dotted path of a value of the wrong type or range.  A number is an
+# int or a float and an integer an int, never a bool, as JSON parses them.
 
-# Every scenario check, in the order of the schema's enum: the schema of
-# the keys it reads besides "name" and "expect", and its runner
-# (point, check, tol) -> records.  A key outside its entry is rejected.
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_index(value, lowest=1) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= lowest
+
+
+def _value(ok, expected: str):
+    def test(value, path):
+        if not ok(value):
+            raise SchemaViolation(f"{path} must be {expected}")
+    return test
+
+
+def _one_of(words):
+    return _value(lambda v: isinstance(v, str) and v in words, "one of " + ", ".join(words))
+
+
+def _fields(tests: dict, required=()):
+    """The test of an object whose keys all have a test in ``tests``,
+    ``required`` among them."""
+    def test(value, path):
+        if not isinstance(value, dict):
+            raise SchemaViolation(f"{path or 'a scenario'} must be an object")
+        prefix = f"{path}." if path else ""
+        for key in required:
+            if key not in value:
+                raise SchemaViolation(f"{prefix}{key} is missing")
+        for key, item in value.items():
+            if key not in tests:
+                raise SchemaViolation(f"{prefix}{key} is not a known field")
+            tests[key](item, f"{prefix}{key}")
+    return test
+
+
+_NUMBER = _value(_is_number, "a number")
+_BOOLEAN = _value(lambda v: isinstance(v, bool), "true or false")
+_U = _value(lambda v: _is_index(v) or v == "all", 'an integer >= 1 or "all"')
+_PLANE = _value(lambda v: v == "all" or (isinstance(v, list) and len(v) == 2
+                                         and all(map(_is_index, v))),
+                'a pair of integers >= 1 or "all"')
+
+# Every scenario check: the value tests of the keys it reads besides
+# "name" and "expect", and its runner (point, check, tol) -> records.
+# A key outside its entry is rejected.
 CHECKS = {
     "scalar_identity": ({}, _scalar_identity),
     "invariant_report": ({}, _invariant_report),
-    "ricci_bound": ({"variant": {"enum": ["general", "s_form", "c_form"]}, "u": _U},
+    "ricci_bound": ({"variant": _one_of(("general", "s_form", "c_form")), "u": _U},
                     _ricci_bound),
     "ricci_equality": ({"u": _U}, _ricci_equality),
-    "delta_bound": ({"plane": _PLANE, "slant_mode": {"type": "boolean"}}, _delta_bound),
+    "delta_bound": ({"plane": _PLANE, "slant_mode": _BOOLEAN}, _delta_bound),
     "global_delta": ({}, _global_delta),
     "classify": ({}, _classify),
 }
-_CHECK = {
-    "type": "object",
-    "properties": {
-        "name": {"enum": list(CHECKS)},
-        **{key: fragment for keys, _ in CHECKS.values() for key, fragment in keys.items()},
-        "expect": _EXPECT,
-    },
-    "required": ["name"],
-    "additionalProperties": False,
-}
+_CHECK = _fields({
+    "name": _one_of(tuple(CHECKS)),
+    **{key: test for reads, _ in CHECKS.values() for key, test in reads.items()},
+    "expect": _value(lambda v: isinstance(v, dict) and all(
+        isinstance(wanted, (int, float, str)) for wanted in v.values()),
+        "an object of numbers, booleans and strings"),
+}, required=("name",))
 
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "ambient": {
-            "type": "object",
-            "properties": {"m": {"type": "integer", "minimum": 1, "maximum": MAX_M}},
-            "required": ["m"],
-            "additionalProperties": False,
-        },
-        "structure": {
-            "type": "object",
-            "properties": {
-                "preset": {"enum": ["s_space_form", "c_space_form", "real_space_form"]},
-                "c": _NUMBER,
-                "values": {"type": "array", "items": _NUMBER,
-                           "minItems": 7, "maxItems": 7},
-            },
-            "additionalProperties": False,
-        },
-        "frame": {
-            "type": "object",
-            "properties": {
-                "mode": {"enum": ["slant", "invariant", "anti_invariant", "explicit"]},
-                "n": {"type": "integer", "minimum": 1},
-                "theta": _NUMBER,
-                "vectors": {"type": "array",
-                            "items": {"type": "array", "items": _NUMBER}},
-            },
-            "required": ["mode"],
-            "additionalProperties": False,
-        },
-        "sigma": {
-            "type": "object",
-            "properties": {
-                "coeffs": {
-                    "type": "array",
-                    "items": {"type": "array",
-                              "prefixItems": [
-                                  {"type": "integer", "minimum": 1},
-                                  {"type": "integer", "minimum": 1},
-                                  {"type": "integer", "minimum": 1},
-                                  _NUMBER,
-                              ],
-                              "minItems": 4, "maxItems": 4},
-                },
-                "c_compatible": {"type": "boolean"},
-                "constraint": {
-                    "enum": ["none", "minimal", "c_compatible",
-                             "minimal_and_c_compatible"]
-                },
-                "seed": {"type": "integer", "minimum": 0},
-                "scale": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "checks": {"type": "array", "items": _CHECK},
-    },
-    "required": ["ambient", "structure", "frame", "sigma", "checks"],
-    "additionalProperties": False,
-}
+
+def _checks(value, path):
+    if not isinstance(value, list):
+        raise SchemaViolation(f"{path} must be an array")
+    for k, check in enumerate(value):
+        _CHECK(check, f"{path}[{k}]")
+
+
+_SCENARIO = _fields({
+    "ambient": _fields({"m": _value(lambda v: _is_index(v) and v <= MAX_M,
+                                    f"an integer in 1..{MAX_M}")}, required=("m",)),
+    "structure": _fields({
+        "preset": _one_of(_PRESETS),
+        "c": _NUMBER,
+        "values": _value(lambda v: isinstance(v, list) and len(v) == 7
+                         and all(map(_is_number, v)), "an array of seven numbers"),
+    }),
+    "frame": _fields({
+        "mode": _one_of(("slant", "invariant", "anti_invariant", "explicit")),
+        "n": _value(_is_index, "an integer >= 1"),
+        "theta": _NUMBER,
+        "vectors": _value(lambda v: isinstance(v, list) and all(
+            isinstance(row, list) and all(map(_is_number, row)) for row in v),
+            "an array of arrays of numbers"),
+    }, required=("mode",)),
+    "sigma": _fields({
+        "coeffs": _value(lambda v: isinstance(v, list) and all(
+            isinstance(q, list) and len(q) == 4 and all(map(_is_index, q[:3]))
+            and _is_number(q[3]) for q in v), "an array of [r, i, j, value] with indices >= 1"),
+        "c_compatible": _BOOLEAN,
+        "constraint": _one_of(_CONSTRAINTS),
+        "seed": _value(lambda v: _is_index(v, 0), "an integer >= 0"),
+        # NaN passes, as under JSON Schema's exclusiveMinimum (loading rejects it)
+        "scale": _value(lambda v: _is_number(v) and not v <= 0, "a number > 0"),
+    }),
+    "checks": _checks,
+}, required=("ambient", "structure", "frame", "sigma", "checks"))
 
 
 def _finite_number(text: str) -> float:
@@ -250,71 +261,11 @@ def load_scenario(path: str) -> dict:
     return data
 
 
-def _bulk_items_valid(data) -> bool:
-    # One plain pass over the two bulk arrays, in place of jsonschema's
-    # descent into every entry.  False when any frame vector row or
-    # coefficient quadruple breaks its item schema.  A missing or
-    # mistyped container is left for the schema to report, with the
-    # schema's own isinstance tests, so that no array it descends into
-    # goes unchecked here.  Entries need exact types: bool, numpy
-    # scalars and the like go to the full schema.
-    frame = data.get("frame") if isinstance(data, dict) else None
-    sigma = data.get("sigma") if isinstance(data, dict) else None
-    vectors = frame.get("vectors") if isinstance(frame, dict) else None
-    coeffs = sigma.get("coeffs") if isinstance(sigma, dict) else None
-    if isinstance(vectors, list):
-        for row in vectors:
-            if type(row) is not list:
-                return False
-            for x in row:
-                if type(x) not in (int, float):
-                    return False
-    if isinstance(coeffs, list):
-        for quad in coeffs:
-            if type(quad) is not list or len(quad) != 4:
-                return False
-            r, i, j, value = quad
-            if (type(r) is not int or type(i) is not int or type(j) is not int
-                    or r < 1 or i < 1 or j < 1
-                    or type(value) not in (int, float)):
-                return False
-    return True
-
-
-@functools.cache
-def _schema_validator(full: bool):
-    # jsonschema loads here, not at import, so that commands which never
-    # read a scenario (fuzz, the library) do not pay for it.  The schema
-    # is a constant that a test checks against the meta-schema once.
-    # "integer" is narrowed to integer literals: the draft also admits
-    # 2.0 or 1e308, which are no index, size or seed.  The light
-    # validator (not ``full``) checks ``vectors`` and ``coeffs`` only to
-    # be arrays, and none of their entries.  It runs on documents that
-    # ``_bulk_items_valid`` passed, where the item schemas it drops add
-    # no error, so both validators give the same error list.
-    from jsonschema import Draft202012Validator, validators
-
-    integers = Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
-    strict = validators.extend(Draft202012Validator, type_checker=integers)
-    if full:
-        return strict(SCENARIO_SCHEMA)
-    light = copy.deepcopy(SCENARIO_SCHEMA)
-    light["properties"]["frame"]["properties"]["vectors"] = {"type": "array"}
-    light["properties"]["sigma"]["properties"]["coeffs"] = {"type": "array"}
-    return strict(light)
-
-
 def validate_scenario(data: dict):
-    """Check a parsed scenario against the schema and the rules the schema
-    cannot express, such as a check carrying only the keys its ``CHECKS``
-    entry reads; raises ``SchemaViolation`` or ``BadConfig``."""
-    from jsonschema.exceptions import best_match
-
-    validator = _schema_validator(full=not _bulk_items_valid(data))
-    error = best_match(validator.iter_errors(data))
-    if error is not None:
-        raise SchemaViolation(error.message) from error
+    """Check a parsed scenario: one pass of value tests raises ``SchemaViolation``
+    at a field of a wrong type or range, an unknown field or a missing one;
+    then the rules between fields raise ``BadConfig``."""
+    _SCENARIO(data, "")
     structure = data["structure"]
     if ("preset" in structure) == ("values" in structure):
         raise BadConfig("structure needs exactly one of 'preset' or 'values'")

@@ -78,14 +78,6 @@ class SecondFundamentalForm:
     def zeros(cls, normal_rank: int, tangent_dim: int) -> "SecondFundamentalForm":
         return cls(np.zeros((normal_rank, tangent_dim, tangent_dim)))
 
-    @property
-    def normal_rank(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def tangent_dim(self) -> int:
-        return self.coeffs.shape[1]
-
 
 @dataclass(frozen=True)
 class PointFlags:

@@ -63,6 +63,17 @@ def test_chen_lemma_property(values):
         assert 2 * arr[0] * arr[1] >= c - 1e-7
 
 
+def test_chen_lemma_is_decided_relative_to_its_sides():
+    # entries near 1e4 give sides near 1e8 to 1e9, where the rounding of
+    # the hypothesis (near 1e-7) is beyond an absolute 1e-9
+    rng = np.random.default_rng(1306)
+    for _ in range(200):
+        a = rng.uniform(-1e4, 1e4, size=int(rng.integers(2, 7)))
+        c = float(a.sum()) ** 2 / (a.size - 1) - float(np.sum(a ** 2))
+        r = G.chen_lemma_check(a, c)
+        assert r.hypothesis_holds and r.inequality_holds, (a, c)
+
+
 # ---------------------------------------------------------- ricci bounds
 
 def test_ricci_bound_equality_spot():
@@ -221,6 +232,9 @@ def test_c_form_classifier_cases():
     broken = _c_point(3, {(0, 0, 0): 1.0})
     rep = G.c_form_equality_classifier(broken)
     assert not rep.all_u_equality and rep.matches
+
+    with pytest.raises(G.VariantPreconditionViolated):  # n = 1 has no plane
+        G.c_form_equality_classifier(_c_point(1, {}))
 
 
 def test_c_form_classifier_spectral_oracle():
@@ -427,6 +441,8 @@ def test_equality_instance_rank_check():
         G.equality_instance(ambient, functions, 2,
                             G.ShapeOperatorForm(0.0, 0.0, 0.0,
                                                 ((1.0, 1.0), (2.0, 2.0))))
+    with pytest.raises(G.BadShape):  # n = 1 has no plane
+        G.equality_instance(ambient, functions, 1, G.ShapeOperatorForm(0.0, 0.0, 0.0))
 
 
 def test_shape_check_round_trip_and_perturbation():
@@ -461,6 +477,15 @@ def test_shape_check_zero_form():
                                           point.tangent.matrix[1])
     assert result.matches_forms
     assert result.recovered == G.ShapeOperatorForm(0.0, 0.0, 0.0, ((0.0, 0.0),))
+
+    # a frame filling R^4 at m = 1, n = 2: no normal directions, so no form
+    ambient = G.canonical_model(1)
+    point = G.attach_point(ambient, G.preset_structure_functions("s_space_form", 2.0),
+                           list(np.eye(ambient.dim)), G.SecondFundamentalForm.zeros(0, 4))
+    assert point.n == 2 and point.normal_rank == 0
+    result = G.delta_equality_shape_check(point, point.tangent.matrix[0],
+                                          point.tangent.matrix[1])
+    assert result == G.ShapeMatchResult(True, G.ShapeOperatorForm(0.0, 0.0, 0.0, ()))
 
 
 def test_shape_check_survives_normal_relabeling():
