@@ -113,7 +113,14 @@ def canonical_model(m: int) -> AmbientModel:
     return AmbientModel(m=m, f_matrix=f, xi=xi)
 
 
-_PRESETS = ("s_space_form", "c_space_form", "real_space_form")
+#: each family's structure functions at its curvature c, affine in c
+_PRESETS = {
+    "s_space_form": lambda c: StructureFunctions(
+        f1=(c + 6.0) / 4.0, f2=(c - 2.0) / 4.0, f3=(c - 2.0) / 4.0,
+        f11=(c + 2.0) / 4.0, f12=-1.0, f21=-1.0, f22=(c + 2.0) / 4.0),
+    "c_space_form": lambda c: StructureFunctions(*[c / 4.0] * 4, 0.0, 0.0, c / 4.0),
+    "real_space_form": lambda c: StructureFunctions(c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+}
 
 
 def preset_structure_functions(kind: str, c: float) -> StructureFunctions:
@@ -122,17 +129,9 @@ def preset_structure_functions(kind: str, c: float) -> StructureFunctions:
     ``c`` is the constant f-sectional curvature (plain sectional
     curvature for ``real_space_form``).
     """
-    if kind == "s_space_form":
-        return StructureFunctions(
-            f1=(c + 6.0) / 4.0, f2=(c - 2.0) / 4.0, f3=(c - 2.0) / 4.0,
-            f11=(c + 2.0) / 4.0, f12=-1.0, f21=-1.0, f22=(c + 2.0) / 4.0,
-        )
-    if kind == "c_space_form":
-        q = c / 4.0
-        return StructureFunctions(f1=q, f2=q, f3=q, f11=q, f12=0.0, f21=0.0, f22=q)
-    if kind == "real_space_form":
-        return StructureFunctions(f1=c, f2=0.0, f3=0.0, f11=0.0, f12=0.0, f21=0.0, f22=0.0)
-    raise BadConfig(f"unknown preset {kind!r}; expected one of {_PRESETS}")
+    if kind not in _PRESETS:
+        raise BadConfig(f"unknown preset {kind!r}; expected one of {tuple(_PRESETS)}")
+    return _PRESETS[kind](c)
 
 
 def ambient_curvature(model: AmbientModel, functions: StructureFunctions,

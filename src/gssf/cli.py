@@ -2,8 +2,8 @@
 
 Exit codes follow a CI-friendly contract: 0 when every check passes,
 1 when some verified inequality or expectation fails, 2 on input
-errors.  The equality tolerance can be overridden per invocation with
-``--tol`` or globally with the ``GSSF_TOL`` environment variable.
+errors.  The equality tolerance is ``DEFAULT``'s unless ``--tol`` sets
+it; nothing in the environment changes it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -29,17 +28,13 @@ from .submanifold import scalar_identity_check
 
 
 def _resolve_tol(args) -> Tolerances:
-    """``DEFAULT`` with the equality tolerance of ``--tol``, else of
-    ``GSSF_TOL``; anything but a finite number >= 0 is a ``BadConfig``."""
-    if getattr(args, "tol", None) is not None:
-        source, text = "--tol", args.tol
-    else:
-        source, text = "GSSF_TOL", os.environ.get("GSSF_TOL")
-        if text is None:
-            return DEFAULT
-    tol = _finite(text, source)
+    """``DEFAULT`` with the equality tolerance of ``--tol``, if given;
+    anything but a finite number >= 0 is a ``BadConfig``."""
+    if args.tol is None:
+        return DEFAULT
+    tol = _finite(args.tol, "--tol")
     if tol < 0.0:
-        raise BadConfig(f"{source} must be a finite number >= 0, got {text!r}")
+        raise BadConfig(f"--tol must be a finite number >= 0, got {args.tol!r}")
     return dataclasses.replace(DEFAULT, equality=tol)
 
 

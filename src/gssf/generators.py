@@ -27,7 +27,9 @@ from .submanifold import (
     point_on_checked_frame,
 )
 
-_CONSTRAINTS = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")
+#: each constraint on generated forms: (traceless, c_compatible)
+_CONSTRAINTS = {"none": (False, False), "minimal": (True, False),
+                "c_compatible": (False, True), "minimal_and_c_compatible": (True, True)}
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class GeneratorConfig:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise BadConfig("structure-function ranges must be finite intervals")
         if self.constraint not in _CONSTRAINTS:
-            raise BadConfig(f"constraint must be one of {_CONSTRAINTS}")
+            raise BadConfig(f"constraint must be one of {tuple(_CONSTRAINTS)}")
 
 
 def slant_frame(ambient: AmbientModel, n: int, theta: float) -> list[Vec]:
@@ -108,11 +110,11 @@ def random_sff(rng: np.random.Generator, normal_rank: int, tangent_dim: int,
         raise BadConfig(f"sigma scale {scale!r} is too large: 2 * scale overflows")
     raw = rng.uniform(-scale, scale, size=(normal_rank, tangent_dim, tangent_dim))
     coeffs = 0.5 * (raw + raw.transpose(0, 2, 1))
-    c_compat = "c_compatible" in constraint
+    traceless, c_compat = _CONSTRAINTS[constraint]
     if c_compat:
         coeffs[:, n:, :] = 0.0
         coeffs[:, :, n:] = 0.0
-    if "minimal" in constraint:
+    if traceless:
         span = n if c_compat else tangent_dim
         idx = np.arange(span)
         traces = coeffs[:, idx, idx].sum(axis=1)
@@ -249,7 +251,7 @@ def _batch_instances(configs: list[GeneratorConfig]) -> list[SubmanifoldPoint]:
                 frame[k] = rotation @ v
         check_frames(frames, ambient.xi, DEFAULT)
         for frame, i in zip(frames, indices):
-            flags = PointFlags(c_compatible="c_compatible" in configs[i].constraint)
+            flags = PointFlags(c_compatible=_CONSTRAINTS[configs[i].constraint][1])
             points[i] = point_on_checked_frame(ambient, draws[i].functions, frame,
                                                draws[i].sff, flags, DEFAULT)
     return points

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambient import AmbientModel, StructureFunctions, preset_structure_functions
+from .ambient import _PRESETS, AmbientModel, StructureFunctions
 from .config import DEFAULT, Tolerances
 from .errors import (
     BadK,
@@ -35,6 +35,7 @@ from .submanifold import (
     PointFlags,
     SecondFundamentalForm,
     SubmanifoldPoint,
+    _minimal,
     _require_unit_l,
     attach_point,
     classify_sff,
@@ -177,17 +178,18 @@ def chen_lemma_check(a, c: float, tol: Tolerances = DEFAULT) -> ChenLemmaReport:
 
 def _require_preset(point: SubmanifoldPoint, kind: str, tol: Tolerances):
     """The structure functions must be the ``kind`` preset at the point's own
-    F1, the one of c = 4 F1 - 6 for ``s_space_form`` and c = 4 F1 for
-    ``c_space_form``; the C-family also needs the c_compatible flag."""
+    F1; every preset is affine in c, so c is read off F1 by two evaluations
+    of the preset.  The C-family also needs the c_compatible flag."""
     f = point.functions
     if kind == "c_space_form" and not point.flags.c_compatible:
         raise VariantPreconditionViolated(
             "the C-family bound needs the c_compatible flag (sigma(., xi) = 0)"
         )
-    c = finite(4.0 * f.f1 - (6.0 if kind == "s_space_form" else 0.0),
+    preset = _PRESETS[kind]
+    f1_at_0 = preset(0.0).f1
+    c = finite((f.f1 - f1_at_0) / (preset(1.0).f1 - f1_at_0),
                f"the {kind} curvature c of F1 = {f.f1!r}")
-    preset = preset_structure_functions(kind, c)
-    residual = max(abs(x - y) for x, y in zip(f.as_tuple(), preset.as_tuple()))
+    residual = max(abs(x - y) for x, y in zip(f.as_tuple(), preset(c).as_tuple()))
     if residual > tol.equality:
         raise VariantPreconditionViolated(
             f"structure functions are not a {kind} preset (residual {residual:.3e})"
@@ -198,6 +200,18 @@ def _ricci_rhs(n: int, f: StructureFunctions, h_sq: float, tu_sq):
     """Right side of the general Ricci bound; ``tu_sq`` = |TU|^2 may be an
     array of directions."""
     return (n + 2) ** 2 / 4.0 * h_sq + (n + 1) * f.f1 + 3.0 * tu_sq * f.f2 - (f.f11 + f.f22)
+
+
+#: every Ricci variant: the preset it needs (None: any), how many frame
+#: vectors past L its defect terms run over (None: no defect terms), and
+#: its right side from (n, f, |H|^2, |TU|^2)
+_RICCI_VARIANTS = {
+    "general": (None, 2, _ricci_rhs),
+    "s_form": ("s_space_form", None, lambda n, f, h_sq, tu_sq: (
+        (n + 2) ** 2 / 4.0 * h_sq + (n - 1) * f.f1 + (3.0 * f.f1 - 4.0) * tu_sq)),
+    "c_form": ("c_space_form", 0, lambda n, f, h_sq, tu_sq: (
+        (n + 2) ** 2 / 4.0 * h_sq + ((n - 1) + 3.0 * tu_sq) * f.f1)),
+}
 
 
 def _ricci_defect_terms(sigma: np.ndarray, u: np.ndarray, upper: int):
@@ -233,31 +247,20 @@ def ricci_bound(point: SubmanifoldPoint, u, variant: str = "general",
     form and |TU|^2 is |phi c|^2 for the L-frame coordinates c of U.
     """
     n = point.n
-    f = point.functions
     c = _require_unit_l(point, u, tol)
     with np.errstate(over="ignore", invalid="ignore"):  # the report checks it
         ric = float(c @ point.ricci_form @ c)
     tu_sq = float(np.sum((point.phi[:, :n] @ c) ** 2))
-    h_sq = point.h_norm_sq
-    quarter = (n + 2) ** 2 / 4.0
-
-    upper = None
-    if variant == "general":
-        rhs = _ricci_rhs(n, f, h_sq, tu_sq)
-        upper = n + 2
-    elif variant == "s_form":
-        _require_preset(point, "s_space_form", tol)
-        rhs = quarter * h_sq + (n - 1) * f.f1 + (3.0 * f.f1 - 4.0) * tu_sq
-    elif variant == "c_form":
-        _require_preset(point, "c_space_form", tol)
-        rhs = quarter * h_sq + ((n - 1) + 3.0 * tu_sq) * f.f1
-        upper = n
-    else:
+    if variant not in _RICCI_VARIANTS:
         raise VariantPreconditionViolated(f"unknown variant {variant!r}")
+    preset, extra, rhs_of = _RICCI_VARIANTS[variant]
+    if preset is not None:
+        _require_preset(point, preset, tol)
+    rhs = rhs_of(n, point.functions, point.h_norm_sq, tu_sq)
 
     defects: tuple[tuple[str, float], ...] | None = None
-    if upper is not None:
-        trace_gaps, mixed = _ricci_defect_terms(point.sff.coeffs, c[None, :], upper)
+    if extra is not None:
+        trace_gaps, mixed = _ricci_defect_terms(point.sff.coeffs, c[None, :], n + extra)
         defects = tuple(
             term for r in range(trace_gaps.shape[0])
             for term in ((f"trace_gap_r{r + 1}", float(trace_gaps[r, 0])),
@@ -359,12 +362,8 @@ def frame_sweep(point: SubmanifoldPoint, tol: Tolerances = DEFAULT) -> FrameSwee
         delta_rhs = _delta_rhs(n, f, h_sq) + 3.0 * f.f2 * (point.t_norm_sq / 2.0 - f_sq)
         slacks = finite(np.concatenate([ricci_rhs - ric, delta_rhs - delta_lhs]),
                         "a slack of the frame sweep")
-    # no margin is below tol.equality, so sizing the sides is needed only
-    # where some slack falls below -tol.equality
-    passed = slacks >= -tol.equality
-    if not passed.all():
-        passed = slacks >= -_margin(tol, np.concatenate([ric, delta_lhs]),
-                                    np.concatenate([ricci_rhs, delta_rhs]))
+    passed = slacks >= -_margin(tol, np.concatenate([ric, delta_lhs]),
+                                np.concatenate([ricci_rhs, delta_rhs]))
     return FrameSweep(n=n, slacks=slacks, passed=passed)
 
 
@@ -372,7 +371,7 @@ def ricci_equality_diagnosis(point: SubmanifoldPoint, u,
                              tol: Tolerances = DEFAULT) -> RicciEqualityDiagnosis:
     """For minimal points: equality in the general Ricci bound against
     membership of U in the relative null space (the two are equivalent)."""
-    if math.sqrt(point.h_norm_sq) > tol.equality:
+    if not _minimal(point, tol):
         raise NotMinimal("the diagnosis applies to minimal points only")
     equality = ricci_bound(point, u, "general", tol).equality
     v = as_vec(u, dim=point.ambient.dim)
@@ -524,19 +523,21 @@ def _plane_k(f: StructureFunctions, phi: np.ndarray, s: np.ndarray,
 def _best_partner(f: StructureFunctions, phi_l: np.ndarray, s_l: np.ndarray,
                   y: np.ndarray):
     """The unit x orthogonal to each row y that minimizes K(x ^ y), and
-    that K: one block step of coordinate descent.  M(y) y = 0, so lifting
-    y to an eigenvalue above max|M(y)|, which bounds the least eigenvalue
-    on y's complement, leaves the smallest eigenpair on that complement.
-    Raises NonFinite when the lifted M(y) is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the lift is checked below
-        m = _plane_form(f.f2, phi_l, s_l, y)
-        shift = np.max(np.abs(m), axis=(1, 2)) * 10.0 + 1.0
-        lifted = m + shift[:, None, None] * (y[:, :, None] * y[:, None, :])
-        vals, vecs = np.linalg.eigh(finite(lifted, "the lifted M(y) of a block step"))
-        x = vecs[:, :, 0]
-        x -= np.sum(x * y, axis=1)[:, None] * y
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        return x, f.f1 + vals[:, 0]
+    that K: one block step of coordinate descent.  Each M(y) is divided by
+    a power of two above its largest entry, as the ascent scales R, so
+    every entry is below 1 and the spectral radius below n; M(y) y = 0,
+    so lifting y to the eigenvalue n + 1 leaves the smallest eigenpair on
+    y's complement.  Raises NonFinite when M(y) is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # M(y) is checked below
+        m = finite(_plane_form(f.f2, phi_l, s_l, y), "the plane form M(y) of a block step")
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(m), axis=(1, 2)))[1])
+    lifted = m / scale[:, None, None] + (y.shape[1] + 1.0) * (y[:, :, None] * y[:, None, :])
+    vals, vecs = np.linalg.eigh(lifted)
+    x = vecs[:, :, 0]
+    x -= np.sum(x * y, axis=1)[:, None] * y
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    with np.errstate(over="ignore"):  # unchecked: the ascent reads K off _plane_k
+        return x, f.f1 + vals[:, 0] * scale
 
 
 @functools.cache

@@ -19,7 +19,8 @@ from .ambient import _PRESETS, MAX_M, StructureFunctions, canonical_model, prese
 from .config import Tolerances
 from .errors import BadConfig, NonFinite, SchemaViolation
 from .generators import _CONSTRAINTS, anti_invariant_frame, random_sff, slant_frame
-from .inequalities import delta_bound, global_delta_bounds, ricci_bound, ricci_equality_diagnosis
+from .inequalities import (_RICCI_VARIANTS, delta_bound, global_delta_bounds, ricci_bound,
+                           ricci_equality_diagnosis)
 from .submanifold import (
     PointFlags,
     SecondFundamentalForm,
@@ -127,6 +128,15 @@ def _classify(point: SubmanifoldPoint, check: dict, tol: Tolerances) -> list[dic
     return [_record("classify", diagnostics=classify_sff(point, tol).as_dict())]
 
 
+# Every frame mode: its raw vectors from (ambient model, frame section)
+_FRAMES = {
+    "slant": lambda ambient, frame: slant_frame(ambient, frame["n"], frame["theta"]),
+    "invariant": lambda ambient, frame: slant_frame(ambient, frame["n"], 0.0),
+    "anti_invariant": lambda ambient, frame: anti_invariant_frame(ambient, frame["n"]),
+    "explicit": lambda ambient, frame: frame["vectors"],
+}
+
+
 # Value tests: each takes (value, path) and raises SchemaViolation naming
 # the dotted path of a value of the wrong type or range.  A number is an
 # int or a float and an integer an int, never a bool, as JSON parses them.
@@ -181,7 +191,7 @@ _PLANE = _value(lambda v: v == "all" or (isinstance(v, list) and len(v) == 2
 CHECKS = {
     "scalar_identity": ({}, _scalar_identity),
     "invariant_report": ({}, _invariant_report),
-    "ricci_bound": ({"variant": _one_of(("general", "s_form", "c_form")), "u": _U},
+    "ricci_bound": ({"variant": _one_of(_RICCI_VARIANTS), "u": _U},
                     _ricci_bound),
     "ricci_equality": ({"u": _U}, _ricci_equality),
     "delta_bound": ({"plane": _PLANE, "slant_mode": _BOOLEAN}, _delta_bound),
@@ -214,7 +224,7 @@ _SCENARIO = _fields({
                          and all(map(_is_number, v)), "an array of seven numbers"),
     }),
     "frame": _fields({
-        "mode": _one_of(("slant", "invariant", "anti_invariant", "explicit")),
+        "mode": _one_of(_FRAMES),
         "n": _value(_is_index, "an integer >= 1"),
         "theta": _NUMBER,
         "vectors": _value(lambda v: isinstance(v, list) and all(
@@ -306,19 +316,8 @@ def assemble(data: dict) -> tuple[SubmanifoldPoint, list[dict], dict]:
     functions = StructureFunctions(*map(float, given.as_tuple()))
 
     frame_cfg = data["frame"]
-    mode = frame_cfg["mode"]
-    if mode == "explicit":
-        raw = frame_cfg["vectors"]
-        n = len(raw) - 2
-    else:
-        n = frame_cfg["n"]
-        if mode == "invariant":
-            raw = slant_frame(ambient, n, 0.0)
-        elif mode == "anti_invariant":
-            raw = anti_invariant_frame(ambient, n)
-        else:
-            raw = slant_frame(ambient, n, frame_cfg["theta"])
-
+    raw = _FRAMES[frame_cfg["mode"]](ambient, frame_cfg)
+    n = len(raw) - 2
     rank = ambient.dim - (n + 2)
     if rank < 0:
         raise BadConfig("the frame does not fit inside the ambient model")
@@ -340,7 +339,7 @@ def assemble(data: dict) -> tuple[SubmanifoldPoint, list[dict], dict]:
         rng = np.random.default_rng(sigma_cfg["seed"])
         constraint = sigma_cfg["constraint"]
         sff = random_sff(rng, rank, n + 2, sigma_cfg.get("scale", 1.0), constraint, n)
-        c_compatible = c_compatible or "c_compatible" in constraint
+        c_compatible = c_compatible or _CONSTRAINTS[constraint][1]
 
     point = attach_point(ambient, functions, raw, sff,
                          PointFlags(c_compatible=c_compatible))

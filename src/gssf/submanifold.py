@@ -477,6 +477,14 @@ def relative_null_space(point: SubmanifoldPoint, tol: Tolerances = DEFAULT) -> l
     return [row @ point.tangent.matrix for row in vh[rank:]]
 
 
+def _minimal(point: SubmanifoldPoint, tol: Tolerances) -> bool:
+    """Whether H = 0: |H| <= ``tol.equality`` times max(1, max |sigma_r,ii|),
+    since the rounding of each trace grows with the diagonal it sums."""
+    diagonal = np.einsum("rii->ri", point.sff.coeffs)
+    scale = max(1.0, float(np.max(np.abs(diagonal), initial=0.0)))
+    return math.sqrt(point.h_norm_sq) <= tol.equality * scale
+
+
 def classify_sff(point: SubmanifoldPoint, tol: Tolerances = DEFAULT) -> SffClassification:
     """Classical shape classes of the form coefficients.
 
@@ -487,7 +495,7 @@ def classify_sff(point: SubmanifoldPoint, tol: Tolerances = DEFAULT) -> SffClass
     s = point.sff.coeffs
     n = point.n
     t = point.n + 2
-    minimal = math.sqrt(point.h_norm_sq) <= tol.equality
+    minimal = _minimal(point, tol)
     totally_geodesic = bool(np.max(np.abs(s), initial=0.0) <= tol.equality)
 
     fitted = s[:, 0, 0]

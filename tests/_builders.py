@@ -84,6 +84,33 @@ def frame_ricci_defects(point):
     return (trace_gaps + mixed).sum(axis=0)
 
 
+def plane_bound_defects(point):
+    """Chen's sum of squares D_r of the plane bound, one row per L-frame pair
+    i < j (in the order of ``frame_sweep``'s plane slacks), one column per
+    normal r, from the form coefficients alone (Chen, Arch. Math. 60, 1993):
+
+        D_r = sum_{k < l, {k, l} != {i, j}} sigma_r,kl^2
+              + sum_{p < q} (b_p - b_q)^2 / (2 (N - 1)),
+
+    over the N = n + 2 frame vectors, with b = (sigma_r,ii + sigma_r,jj,
+    then sigma_r,kk for each k outside {i, j}).  Every term is a square,
+    and the slack at (e_i, e_j) is sum_r D_r.
+    """
+    s = point.sff.coeffs
+    big_n = s.shape[1]
+    pair_i, pair_j = np.triu_indices(point.n, 1)
+    pairs = np.arange(len(pair_i))
+    off_plane = np.triu(np.ones((big_n, big_n)), 1)[None].repeat(len(pairs), axis=0)
+    off_plane[pairs, pair_i, pair_j] = 0.0
+    rest = np.array([[k for k in range(big_n) if k not in (i, j)]
+                     for i, j in zip(pair_i, pair_j)], dtype=np.intp).reshape(len(pairs), -1)
+    diag = np.einsum("rkk->rk", s)
+    b = np.concatenate([(diag[:, pair_i] + diag[:, pair_j]).T[:, :, None],
+                        diag[:, rest].transpose(1, 0, 2)], axis=2)  # (pairs, normals, N - 1)
+    spread = ((b[:, :, :, None] - b[:, :, None, :]) ** 2).sum(axis=(2, 3)) / 2.0
+    return np.einsum("pkl,rkl->pr", off_plane, s ** 2) + spread / (2.0 * (big_n - 1))
+
+
 def random_unit_l(point, rng):
     """Seeded random unit vector in the L-part of the tangent space."""
     coeffs = rng.normal(size=point.n)

@@ -15,8 +15,9 @@ import gssf as G
 from gssf import cli
 from gssf.inequalities import (_MAX_PLANE_N, _bivector, _c_form_slack_form, _curvature_operator,
                                _dual_ascent, _form_stack, _off_plane_t_norm, _plane_form, _plane_k)
-from _builders import (anti_invariant_point, frame_ricci_defects, invariant_point, plane_f_squared,
-                       random_unit_l, reference_plane_search, sff_with, spot_point, tn_decompose)
+from _builders import (anti_invariant_point, frame_ricci_defects, invariant_point, plane_bound_defects,
+                       plane_f_squared, random_unit_l, reference_plane_search, sff_with, spot_point,
+                       tn_decompose)
 
 _CONSTRAINTS = ("none", "minimal", "c_compatible", "minimal_and_c_compatible")
 
@@ -395,6 +396,24 @@ def test_frame_sweep_decides_each_slack_against_the_size_of_its_sides():
     assert sweep.passed.tolist() == [report.passed for report in expected]
     exact = G.frame_sweep(point, dataclasses.replace(G.DEFAULT, equality=0.0))
     assert exact.passed.tolist() == (sweep.slacks >= 0.0).tolist()
+
+
+def test_plane_slack_is_chens_sum_of_squares():
+    # an oracle from sigma alone: Chen's lemma per normal direction
+    configs = [G.GeneratorConfig(seed=30_000 + k, n=2 + k % 5, m=2 + k % 5 + k % 2,
+                                 sigma_scale=(1e-2, 1.0, 10.0)[k % 3],
+                                 constraint=_CONSTRAINTS[k % 4])
+               for k in range(2400)]
+    worst = 0.0
+    for point in G.generators.random_instances(configs):
+        defects = plane_bound_defects(point)
+        assert (defects >= 0.0).all()
+        slacks = G.frame_sweep(point).delta_slacks
+        pair_i, pair_j = np.triu_indices(point.n, 1)
+        lhs = point.tau - point.sectional_matrix[pair_i, pair_j]
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(lhs + slacks)))
+        worst = max(worst, float(np.max(np.abs(slacks - defects.sum(axis=1)) / scale)))
+    assert worst <= 1e-12
 
 
 def test_frame_sweep_spot():
