@@ -52,10 +52,7 @@ class StructureFunctions:
         return (self.f1, self.f2, self.f3, self.f11, self.f12, self.f21, self.f22)
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "f1": self.f1, "f2": self.f2, "f3": self.f3,
-            "f11": self.f11, "f12": self.f12, "f21": self.f21, "f22": self.f22,
-        }
+        return dict(vars(self))
 
     def pair_matrix(self) -> np.ndarray:
         """The 2x2 block [[F11, F12], [F21, F22]]."""
@@ -175,16 +172,13 @@ def frame_sectional(functions: StructureFunctions, phi: np.ndarray,
     ``phi[i, j] = <e_i, f e_j>`` and ``eta[i, a] = eta_a(e_i)``.  Returns
     the symmetric matrix of sectional values with a zero diagonal.  This
     is the closed form of :func:`ambient_curvature` on orthonormal pairs,
-    used in frame summations.
+    used in frame summations.  On stacked frames each field of ``functions``
+    is a (..., 1, 1) array and its ``pair_matrix()`` a (..., 2, 2) one.
     """
-    d1, d2 = eta[:, 0], eta[:, 1]
-    det = np.outer(d1, d2) - np.outer(d2, d1)
-    q = np.einsum("ia,ab,ib->i", eta, functions.pair_matrix(), eta)
-    k = (
-        functions.f1
-        + 3.0 * functions.f2 * phi ** 2
-        + functions.f3 * det ** 2
-        - (q[:, None] + q[None, :])
-    )
-    np.fill_diagonal(k, 0.0)
+    f = functions
+    d1, d2 = eta[..., :, :1], eta[..., :, 1:]  # columns; .mT are the rows
+    q = np.einsum("...ia,...ab,...ib->...i", eta, f.pair_matrix(), eta)
+    k = (f.f1 + 3.0 * f.f2 * phi ** 2 + f.f3 * (d1 * d2.mT - d2 * d1.mT) ** 2
+         - (q[..., :, None] + q[..., None, :]))
+    np.einsum("...ii->...i", k)[...] = 0.0  # a view of the diagonal
     return k

@@ -19,12 +19,13 @@ import numpy as np
 
 from .ambient import MAX_M, canonical_model, preset_structure_functions
 from .config import DEFAULT, Tolerances
-from .errors import BadConfig, GssfError, UsageError
-from .generators import _CONSTRAINTS, GeneratorConfig, random_instances
-from .inequalities import ShapeOperatorForm, equality_instance, equality_pattern, frame_sweep
+from .errors import BadConfig, GssfError, NonFinite, UsageError
+from .generators import _CONSTRAINTS, GeneratorConfig, _batch_instances, batches
+from .inequalities import (FrameSweep, ShapeOperatorForm, equality_instance, equality_pattern,
+                           frame_sweep)
 from .jsonutil import dumps
 from .scenario import assemble, build_report, load_scenario, run_checks
-from .submanifold import scalar_identity_check
+from .submanifold import ScalarIdentityReport, _Stack, scalar_identity_check
 
 
 def _resolve_tol(args) -> Tolerances:
@@ -72,6 +73,22 @@ def _cmd_report(args) -> int:
     return 0 if summary["fail_count"] == 0 else 1
 
 
+def _checked(points: list, classes: dict, tol: Tolerances) -> list:
+    """Each point's identity and sweep, once per (n, m); on a NonFinite, point by point."""
+    rows: list = [None] * len(points)
+    try:
+        for indices in classes.values():
+            with np.errstate(over="ignore", invalid="ignore"):  # checked in the calls
+                stack = _Stack([points[i] for i in indices])
+                identity, sweep = scalar_identity_check(stack), frame_sweep(stack, tol)
+            for r, i in enumerate(indices):
+                rows[i] = (ScalarIdentityReport(*(x.item(r) for x in vars(identity).values())),
+                           FrameSweep(sweep.n, sweep.slacks[r, 0], sweep.passed[r, 0]))
+    except NonFinite:
+        return [(scalar_identity_check(point), frame_sweep(point, tol)) for point in points]
+    return rows
+
+
 def _cmd_fuzz(args) -> int:
     if args.count < 1:
         raise BadConfig("--count must be at least 1")
@@ -85,19 +102,16 @@ def _cmd_fuzz(args) -> int:
         raise BadConfig(f"--n-range must end at most at {MAX_M - 1} (m <= {MAX_M})")
     tol = _resolve_tol(args)
 
-    worst_slack = None
-    worst_slack_info = None
-    worst_ident = 0.0
-    worst_ident_seed = None
-    violations = []
-    checks_run = 0
+    worst_slack = worst_slack_info = worst_ident_seed = None
+    worst_ident, checks_run, violations = 0.0, 0, []
 
     width = hi - lo + 1
     configs = (GeneratorConfig(seed=args.seed + trial, n=lo + trial % width,
                                m=lo + trial % width + trial % 2, constraint=args.constraint)
                for trial in range(args.count))
-    for seed, point in enumerate(random_instances(configs), start=args.seed):
-        identity = scalar_identity_check(point)
+    checked = (row for batch in batches(configs)
+               for row in _checked(*_batch_instances(batch), tol))
+    for seed, (identity, sweep) in enumerate(checked, start=args.seed):
         rel = identity.abs_diff / max(1.0, abs(identity.lhs), abs(identity.rhs))
         if rel > worst_ident:
             worst_ident = rel
@@ -108,7 +122,6 @@ def _cmd_fuzz(args) -> int:
         # Ricci at every L-frame direction, then every frame plane pair;
         # argmin keeps the first of equal slacks, so ties go to the
         # check reported first.
-        sweep = frame_sweep(point, tol)
         slacks = sweep.slacks
         checks_run += 1 + slacks.size
         k = int(np.argmin(slacks))

@@ -227,14 +227,14 @@ def random_instances(configs):
     A generator: each point is dropped here once it is taken.
     """
     for batch in batches(configs):
-        points = _batch_instances(batch)
+        points, _ = _batch_instances(batch)
         points.reverse()
         while points:
             yield points.pop()
 
 
-def _batch_instances(configs: list[GeneratorConfig]) -> list[SubmanifoldPoint]:
-    """The instances of one batch: one sweep and one check per (n, m)."""
+def _batch_instances(configs: list[GeneratorConfig]) -> tuple[list[SubmanifoldPoint], dict]:
+    """A batch's instances, one sweep and one check per (n, m), and each (n, m)'s indices."""
     draws = [_draws(config) for config in configs]
     classes: dict[tuple[int, int], list[int]] = {}
     for index, config in enumerate(configs):
@@ -254,7 +254,7 @@ def _batch_instances(configs: list[GeneratorConfig]) -> list[SubmanifoldPoint]:
             flags = PointFlags(c_compatible=_CONSTRAINTS[configs[i].constraint][1])
             points[i] = point_on_checked_frame(ambient, draws[i].functions, frame,
                                                draws[i].sff, flags, DEFAULT)
-    return points
+    return points, classes
 
 
 def random_instance(config: GeneratorConfig) -> SubmanifoldPoint:

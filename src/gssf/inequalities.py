@@ -343,7 +343,7 @@ def frame_sweep(point: SubmanifoldPoint, tol: Tolerances = DEFAULT) -> FrameSwee
     check: they guard vectors a caller supplies, while the sweep only
     reads rows of a frame that ``attach_point`` has already validated,
     with an orthonormality tolerance (1e-10 by default) tighter than the
-    tangency one (1e-9).
+    tangency one (1e-9).  On a ``_Stack``, slacks and passed gain its axes.
     """
     n = point.n
     f = point.functions
@@ -353,18 +353,16 @@ def frame_sweep(point: SubmanifoldPoint, tol: Tolerances = DEFAULT) -> FrameSwee
     order, pair_i, pair_j = _sweep_layout(n)
     own = order[:, :1]  # i, as a column
 
+    # gathered rows are copied: numpy sums a strided row of a stack in another order
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        ric = k[own, order[:, 1:]].sum(axis=1)
-        tu_sq = (phi[order, own] ** 2).sum(axis=1)
-        ricci_rhs = _ricci_rhs(n, f, h_sq, tu_sq)
-        f_sq = phi[pair_i, pair_j] ** 2
-        delta_lhs = point.tau - k[pair_i, pair_j]
+        ric = np.ascontiguousarray(k[..., own, order[:, 1:]]).sum(-1)
+        tu_sq = np.ascontiguousarray(phi[..., order, own] ** 2).sum(-1)
+        f_sq = phi[..., pair_i, pair_j] ** 2
         delta_rhs = _delta_rhs(n, f, h_sq) + 3.0 * f.f2 * (point.t_norm_sq / 2.0 - f_sq)
-        slacks = finite(np.concatenate([ricci_rhs - ric, delta_rhs - delta_lhs]),
-                        "a slack of the frame sweep")
-    passed = slacks >= -_margin(tol, np.concatenate([ric, delta_lhs]),
-                                np.concatenate([ricci_rhs, delta_rhs]))
-    return FrameSweep(n=n, slacks=slacks, passed=passed)
+        lhs = np.concatenate([ric, point.tau - k[..., pair_i, pair_j]], axis=-1)
+        rhs = np.concatenate([_ricci_rhs(n, f, h_sq, tu_sq), delta_rhs], axis=-1)
+        slacks = finite(rhs - lhs, "a slack of the frame sweep")
+    return FrameSweep(n=n, slacks=slacks, passed=slacks >= -_margin(tol, lhs, rhs))
 
 
 def ricci_equality_diagnosis(point: SubmanifoldPoint, u,
@@ -373,7 +371,8 @@ def ricci_equality_diagnosis(point: SubmanifoldPoint, u,
     membership of U in the relative null space (the two are equivalent)."""
     if not _minimal(point, tol):
         raise NotMinimal("the diagnosis applies to minimal points only")
-    equality = ricci_bound(point, u, "general", tol).equality
+    defects = ricci_bound(point, u, "general", tol).defect_sum()  # sigma's alone
+    equality = defects <= tol.equality * max(1.0, point.sigma_norm_sq)
     v = as_vec(u, dim=point.ambient.dim)
     kernel = relative_null_space(point, tol)
     proj = np.zeros_like(v)

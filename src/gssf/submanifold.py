@@ -123,7 +123,7 @@ class ScalarIdentityReport:
 
     def holds(self, tol: Tolerances) -> bool:
         """Whether the two sides agree to ``tol.equality`` relative to ``scale``."""
-        return self.abs_diff <= tol.equality * self.scale
+        return bool(self.abs_diff <= tol.equality * self.scale)
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,7 @@ class SffClassification:
     totally_f_umbilical: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "minimal": self.minimal,
-            "totally_geodesic": self.totally_geodesic,
-            "totally_umbilical": self.totally_umbilical,
-            "totally_f_geodesic": self.totally_f_geodesic,
-            "totally_f_umbilical": self.totally_f_umbilical,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +161,7 @@ class SubmanifoldPoint:
     def phi(self) -> np.ndarray:
         """phi[i, j] = <e_i, f e_j> over the tangent frame."""
         e = self.tangent.matrix
-        return e @ self.ambient.f_matrix @ e.T
+        return e @ self.ambient.f_matrix @ e.mT
 
     @cached_property
     def eta_frame(self) -> np.ndarray:
@@ -178,34 +172,30 @@ class SubmanifoldPoint:
     def sectional_matrix(self) -> np.ndarray:
         """Induced plane curvatures K(e_i ^ e_j) over the tangent frame.
         Raises NonFinite when one of them overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            k = frame_sectional(self.functions, self.phi, self.eta_frame)
-            k = k + _gauss_matrix(self.sff.coeffs)
-        np.fill_diagonal(k, 0.0)
-        return finite(k, "an induced sectional curvature")
+        return _sectional(self.functions, self.phi, self.eta_frame, self.sff.coeffs)
 
     @cached_property
     def tau(self) -> float:
         """Scalar curvature: half the sum of K over ordered frame pairs.
         Raises NonFinite when the sum overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            return finite(float(np.triu(self.sectional_matrix, 1).sum()),
-                          "the scalar curvature tau")
+        return float(_tau(self.sectional_matrix))
 
     @cached_property
     def h_normal(self) -> np.ndarray:
         """Mean curvature vector in normal-frame coordinates."""
-        traces = np.einsum("rii->r", self.sff.coeffs)
-        return traces / (self.n + 2)
+        return np.einsum("...rii->...r", self.sff.coeffs) / (self.n + 2)
 
     @cached_property
     def h_norm_sq(self) -> float:
-        return float(self.h_normal @ self.h_normal)
+        return float(np.vecdot(self.h_normal, self.h_normal))
 
     @cached_property
     def t_norm_sq(self) -> float:
-        n = self.n
-        return float(np.sum(self.phi[:n, :n] ** 2))
+        return float(np.sum(self.phi[:self.n, :self.n] ** 2))
+
+    @cached_property
+    def sigma_norm_sq(self) -> float:
+        return float(np.sum(self.sff.coeffs ** 2))
 
     @cached_property
     def t_form(self) -> np.ndarray:
@@ -258,10 +248,44 @@ class SubmanifoldPoint:
         return coords
 
 
-def _gauss_matrix(sigma: np.ndarray) -> np.ndarray:
-    """Second-fundamental-form contribution to frame plane curvatures."""
-    diag = np.einsum("rii->ri", sigma)
-    return np.einsum("ri,rj->ij", diag, diag) - np.einsum("rij,rij->ij", sigma, sigma)
+def _sectional(functions, phi, eta, s) -> np.ndarray:
+    """K(e_i ^ e_j) with a zero diagonal, the ambient plus the Gauss part, of
+    one point's arrays or a stack of them; NonFinite where one overflows."""
+    d = np.einsum("...rii->...ri", s)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        gauss = np.einsum("...ri,...rj->...ij", d, d) - np.einsum("...rij,...rij->...ij", s, s)
+        k = frame_sectional(functions, phi, eta) + gauss
+    np.einsum("...ii->...i", k)[...] = 0.0  # a view of the diagonal
+    return finite(k, "an induced sectional curvature")
+
+
+def _tau(k: np.ndarray):
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        return finite(np.triu(k, 1).sum((-2, -1)), "the scalar curvature tau")
+
+
+class _Stack:
+    """Points of one (n, m) as one for ``scalar_identity_check`` and ``frame_sweep``:
+    arrays gain the axes (points, 1), floats are (points, 1, 1) arrays, and it is
+    its own structure functions.  Sums run over contiguous rows: a point's bits."""
+
+    def __init__(self, points: list[SubmanifoldPoint]):
+        self.n = n = points[0].n
+        e = np.stack([p.tangent.matrix for p in points])
+        sigma = np.stack([p.sff.coeffs for p in points])
+        self.functions = self
+        self.f1, self.f2, self.f3, self.f11, self.f12, self.f21, self.f22 = np.array(
+            [p.functions.as_tuple() for p in points]).T[..., None, None]
+        phi = e @ points[0].ambient.f_matrix @ e.mT
+        k = _sectional(self, phi, e @ points[0].ambient.xi.T, sigma)
+        h = np.einsum("...rii->...r", sigma) / (n + 2)
+        self.phi, self.sectional_matrix = phi[:, None], k[:, None]
+        self.tau, self.h_norm_sq = _tau(k)[:, None, None], np.vecdot(h, h)[:, None, None]
+        self.t_norm_sq = (phi[:, :n, :n] ** 2).sum((-2, -1))[:, None, None]
+        self.sigma_norm_sq = (sigma ** 2).sum((-3, -2, -1))[:, None, None]
+
+    def pair_matrix(self) -> np.ndarray:
+        return np.block([[self.f11, self.f12], [self.f21, self.f22]])
 
 
 def attach_point(ambient: AmbientModel, functions: StructureFunctions,
@@ -423,7 +447,7 @@ def invariant_report(point: SubmanifoldPoint, tol: Tolerances = DEFAULT) -> Inva
     return InvariantReport(
         h_normal=point.h_normal,
         h_norm_sq=point.h_norm_sq,
-        sigma_norm_sq=float(np.sum(point.sff.coeffs ** 2)),
+        sigma_norm_sq=point.sigma_norm_sq,
         t_norm_sq=point.t_norm_sq,
         n_norm_sq=n_norm_sq,
         tau=point.tau,
@@ -441,18 +465,18 @@ def scalar_identity_check(point: SubmanifoldPoint) -> ScalarIdentityReport:
 
     an identity for arbitrary formal coefficients; the frame summation on
     the left is the independent oracle.  Raises NonFinite when either side
-    or their difference is not finite.
+    or their difference is not finite.  Runs on a ``_Stack`` of points too.
     """
     n = point.n
     f = point.functions
     lhs = 2.0 * point.tau
     terms = ((n + 1) * (n + 2) * f.f1, -2.0 * (n + 1) * (f.f11 + f.f22), 2.0 * f.f3,
              3.0 * f.f2 * point.t_norm_sq, (n + 2) ** 2 * point.h_norm_sq,
-             -float(np.sum(point.sff.coeffs ** 2)))
+             -point.sigma_norm_sq)
     rhs = terms[0] + terms[1] + terms[2] + terms[3] + terms[4] + terms[5]
     abs_diff = finite(abs(lhs - rhs), "scalar_identity's 2 tau - closed form")
-    return ScalarIdentityReport(lhs=lhs, rhs=rhs, abs_diff=abs_diff,
-                                scale=max(1.0, abs(lhs), *map(abs, terms)))
+    scale = np.maximum.reduce([abs(lhs), *map(abs, terms)], initial=1.0)
+    return ScalarIdentityReport(lhs=lhs, rhs=rhs, abs_diff=abs_diff, scale=scale)
 
 
 def _require_unit_l(point: SubmanifoldPoint, u, tol: Tolerances) -> np.ndarray:

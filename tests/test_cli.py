@@ -133,6 +133,22 @@ def test_fuzz_output_bytes_are_pinned(constraint):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FUZZ_GOLDEN[constraint]
 
 
+# sha256 of fuzz runs the benchmark does not reach: the violation path at
+# --tol 0 (181 violations in 4760 checks), and n up to 12, where n + 2
+# crosses numpy's 8-entry pairwise-sum boundary in the stacked sweep
+@pytest.mark.parametrize("args, digest", [
+    (("--seed", "5", "--count", "300", "--n-range", "1..8", "--tol", "0",
+      "--constraint", "minimal"),
+     "e6bcc43784a4ffb2dece3972a696c15cb718b073de92936d2115a3bd2cafd6ba"),
+    (("--seed", "11", "--count", "480", "--n-range", "1..12"),
+     "9c801e38e8f47b66021b7ec56832f2526dcf33a3a8e93c8a08ae427e3d120233"),
+])
+def test_fuzz_output_bytes_off_the_benchmark_are_pinned(args, digest):
+    code, out, err = run_main("fuzz", *args)
+    assert err == "" and code == (1 if "--tol" in args else 0)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_fuzz_output_bytes_across_generation_batches_are_pinned():
     # 600 trials span several generation batches: the bytes of one at a time
     code, out, err = run_main("fuzz", "--seed", "7", "--count", "600", "--n-range", "1..6",
@@ -725,6 +741,26 @@ def test_ricci_equality_takes_generated_minimal_forms_at_every_scale(tmp_path, s
                     "checks": [{"name": "ricci_equality"}]}
         code, _, err = run_main("report", write_scenario(tmp_path, scenario))
         assert (code, err) == (0, ""), (seed, err)
+
+
+def test_ricci_equality_reads_the_defects_where_the_structure_swamps_sigma(tmp_path):
+    # lhs = rhs = 3.5e307 round sigma's part of the slack to 0.0, while the
+    # defect terms, built from sigma alone, sum to 1.4e200: no equality, and
+    # U is outside the null space, so the diagnosis is consistent
+    scenario = {"ambient": {"m": 2},
+                "structure": {"values": [1.9, 1.9, -9.521839875071002e+278, -3.5e+307, 1e+308,
+                                         1.9, 1.9]},
+                "frame": {"mode": "slant", "n": 2, "theta": 0.6},
+                "sigma": {"constraint": "minimal", "seed": 2, "scale": 1e+100},
+                "checks": [{"name": "ricci_equality"}]}
+    code, out, err = run_main("report", write_scenario(tmp_path, scenario))
+    assert (code, err) == (0, "")
+    records = json.loads(out)["checks"]
+    assert [r["name"] for r in records] == ["ricci_equality[u=1]", "ricci_equality[u=2]"]
+    for record in records:
+        assert record["passed"] and not record["equality"]
+        assert record["diagnostics"]["in_null_space"] is False
+        assert record["diagnostics"]["consistent"] is True
 
 
 def test_singular_barrier_system_ends_the_levels_without_a_traceback(tmp_path):

@@ -15,6 +15,7 @@ import gssf as G
 from gssf import cli
 from gssf.inequalities import (_MAX_PLANE_N, _bivector, _c_form_slack_form, _curvature_operator,
                                _dual_ascent, _form_stack, _off_plane_t_norm, _plane_form, _plane_k)
+from gssf.submanifold import _Stack
 from _builders import (anti_invariant_point, frame_ricci_defects, invariant_point, plane_bound_defects,
                        plane_f_squared, random_unit_l, reference_plane_search, sff_with, spot_point,
                        tn_decompose)
@@ -414,6 +415,81 @@ def test_plane_slack_is_chens_sum_of_squares():
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(lhs + slacks)))
         worst = max(worst, float(np.max(np.abs(slacks - defects.sum(axis=1)) / scale)))
     assert worst <= 1e-12
+
+
+def test_stacked_checks_have_each_points_bits():
+    # the checks on a stack of one (n, m) class against each point alone,
+    # bit for bit: a sum over a strided row adds in another order, which
+    # shows from n + 2 = 8 entries, numpy's pairwise-sum block
+    tols = (G.DEFAULT, dataclasses.replace(G.DEFAULT, equality=0.0))
+    points = []
+    for n in range(1, 13):
+        for m in (n, n + 1):
+            configs = [G.GeneratorConfig(seed=50_000 + 100 * n + 50 * (m - n) + k, n=n, m=m,
+                                         sigma_scale=(1e-2, 1.0, 10.0)[k % 3],
+                                         constraint=_CONSTRAINTS[k // 3])
+                       for k in range(12)]
+            group = list(G.generators.random_instances(configs))
+            stack = _Stack(group)
+            identity = G.scalar_identity_check(stack)
+            for r, point in enumerate(group):
+                assert np.array_equal(stack.sectional_matrix[r, 0], point.sectional_matrix)
+                assert stack.tau[r, 0, 0] == point.tau
+                single = G.scalar_identity_check(point)
+                assert [identity.lhs[r, 0, 0], identity.rhs[r, 0, 0], identity.abs_diff[r, 0, 0],
+                        identity.scale[r, 0, 0]] == [single.lhs, single.rhs, single.abs_diff,
+                                                  single.scale]
+            for tol in tols:
+                sweep = G.frame_sweep(stack, tol)
+                for r, point in enumerate(group):
+                    single = G.frame_sweep(point, tol)
+                    assert np.array_equal(sweep.slacks[r, 0], single.slacks), (n, m, r)
+                    assert np.array_equal(sweep.passed[r, 0], single.passed), (n, m, r)
+            points += group
+
+    # fuzz's driver on every class at once, interleaved: each row in order
+    order = np.random.default_rng(3).permutation(len(points))
+    points = [points[i] for i in order]
+    classes: dict = {}
+    for index, point in enumerate(points):
+        classes.setdefault((point.n, point.ambient.m), []).append(index)
+    for tol in tols:
+        for point, (identity, sweep) in zip(points, cli._checked(points, classes, tol)):
+            assert identity == G.scalar_identity_check(point)
+            single = G.frame_sweep(point, tol)
+            assert sweep.n == single.n
+            assert np.array_equal(sweep.slacks, single.slacks)
+            assert np.array_equal(sweep.passed, single.passed)
+
+
+@pytest.mark.parametrize("same_class", [True, False])
+def test_stacked_checks_raise_the_nonfinite_of_the_first_trial(same_class):
+    # the stack holding the later trial is checked first; its sigma
+    # overflows the identity's |H|^2 term, while the earlier trial's F1
+    # overflows tau: the error must be the earlier trial's
+    fine = G.random_instance(G.GeneratorConfig(seed=1, n=3, m=4))
+    early = G.random_instance(G.GeneratorConfig(seed=2, n=3 if same_class else 2, m=4))
+    early = dataclasses.replace(early, functions=dataclasses.replace(early.functions, f1=1e308))
+    coeffs = np.zeros(fine.sff.coeffs.shape)
+    coeffs[0, 0, 0] = coeffs[0, 1, 1] = 0.9e154
+    late = dataclasses.replace(fine, sff=G.SecondFundamentalForm(coeffs))
+    messages = []
+    for point in (early, late):
+        with pytest.raises(G.NonFinite) as info:
+            G.scalar_identity_check(point)
+        messages.append(str(info.value))
+    assert messages == ["the scalar curvature tau is not finite",
+                        "scalar_identity's 2 tau - closed form is not finite"]
+
+    points = [fine, early, late]
+    classes: dict = {}
+    for index, point in enumerate(points):
+        classes.setdefault((point.n, point.ambient.m), []).append(index)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(G.NonFinite) as info:
+            cli._checked(points, classes, G.DEFAULT)
+    assert str(info.value) == messages[0]
 
 
 def test_frame_sweep_spot():
