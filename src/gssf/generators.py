@@ -18,14 +18,8 @@ import numpy as np
 from .ambient import MAX_M, AmbientModel, StructureFunctions, canonical_model
 from .config import DEFAULT
 from .errors import BadConfig, BadDimension
-from .frames import Vec
-from .submanifold import (
-    PointFlags,
-    SecondFundamentalForm,
-    SubmanifoldPoint,
-    check_frames,
-    point_on_checked_frame,
-)
+from .frames import Basis, Vec
+from .submanifold import PointFlags, SecondFundamentalForm, SubmanifoldPoint, tangent_frames
 
 #: each constraint on generated forms: (traceless, c_compatible)
 _CONSTRAINTS = {"none": (False, False), "minimal": (True, False),
@@ -221,9 +215,9 @@ def random_instances(configs):
 
     Every config draws from its own generator, so each instance is a
     pure function of its config.  The configs are taken in ``batches``;
-    those of equal (n, m) in a batch share one stacked Givens sweep and
-    one stacked frame check, and the per-vector orthonormalization stays
-    per instance, so the bits are those of building each instance alone.
+    those of equal (n, m) in a batch share one stacked Givens sweep, one
+    stacked rotation of their frames and one ``tangent_frames`` call, and
+    the bits are those of building each instance alone.
     A generator: each point is dropped here once it is taken.
     """
     for batch in batches(configs):
@@ -234,7 +228,7 @@ def random_instances(configs):
 
 
 def _batch_instances(configs: list[GeneratorConfig]) -> tuple[list[SubmanifoldPoint], dict]:
-    """A batch's instances, one sweep and one check per (n, m), and each (n, m)'s indices."""
+    """A batch's instances, one sweep and one frame build per (n, m), and each (n, m)'s indices."""
     draws = [_draws(config) for config in configs]
     classes: dict[tuple[int, int], list[int]] = {}
     for index, config in enumerate(configs):
@@ -244,16 +238,14 @@ def _batch_instances(configs: list[GeneratorConfig]) -> tuple[list[SubmanifoldPo
     for (n, m), indices in classes.items():
         ambient = canonical_model(m)
         rotations = _rotations(ambient.dim, [draws[i].angles for i in indices])
+        base = np.array([draws[i].base for i in indices])
         frames = np.empty((len(indices), n + 2, ambient.dim))
+        frames[:, :n] = np.einsum("pkd,ped->pke", base, rotations)  # @ moves some last bits
         frames[:, n:] = ambient.xi
-        for frame, rotation, i in zip(frames, rotations, indices):
-            for k, v in enumerate(draws[i].base):
-                frame[k] = rotation @ v
-        check_frames(frames, ambient.xi, DEFAULT)
-        for frame, i in zip(frames, indices):
+        for frame, i in zip(tangent_frames(frames, ambient.xi, DEFAULT), indices):
             flags = PointFlags(c_compatible=_CONSTRAINTS[configs[i].constraint][1])
-            points[i] = point_on_checked_frame(ambient, draws[i].functions, frame,
-                                               draws[i].sff, flags, DEFAULT)
+            points[i] = SubmanifoldPoint(ambient, draws[i].functions, Basis(frame, DEFAULT),
+                                         draws[i].sff, flags)
     return points, classes
 
 

@@ -354,18 +354,21 @@ def assemble(data: dict) -> tuple[SubmanifoldPoint, list[dict], dict]:
 
 
 def _apply_expect(record: dict, expect: dict | None, tol_eq: float):
+    """Fail ``record`` on each ``expect`` key whose value it does not match: a
+    boolean only the same boolean, a number only a number within ``tol_eq``
+    (relative above 1), anything else by equality."""
     if not expect:
         return
     failures = []
     for key, wanted in expect.items():
         value = record.get(key, record["diagnostics"].get(key))
-        if isinstance(wanted, (int, float)) and not isinstance(wanted, bool):
+        if _is_number(wanted):
             ok = (
-                isinstance(value, (int, float))
+                _is_number(value)
                 and abs(float(value) - float(wanted)) <= max(tol_eq, tol_eq * abs(wanted))
             )
-        else:
-            ok = value == wanted
+        else:  # a boolean apart, since 1.0 == True
+            ok = value == wanted and isinstance(value, bool) == isinstance(wanted, bool)
         if not ok:
             failures.append(key)
     if failures:

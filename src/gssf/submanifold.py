@@ -140,13 +140,26 @@ class SffClassification:
 
 @dataclass(frozen=True, eq=False)
 class SubmanifoldPoint:
-    """Immutable pointwise data; all derived quantities are pure queries."""
+    """Immutable pointwise data; all derived quantities are pure queries.
+    The frame must have the ambient's dimension, the form the shape they
+    give it, and, under ``c_compatible``, the form must vanish on xi."""
 
     ambient: AmbientModel
     functions: StructureFunctions
     tangent: Basis
     sff: SecondFundamentalForm
     flags: PointFlags = field(default_factory=PointFlags)
+
+    def __post_init__(self):
+        if self.tangent.matrix.shape[1] != self.ambient.dim:
+            raise DimensionMismatch(
+                f"expected dimension {self.ambient.dim}, got {self.tangent.matrix.shape[1]}")
+        n, s = self.n, self.sff.coeffs
+        expected = (self.normal_rank, n + 2, n + 2)
+        if s.shape != expected:
+            raise BadShape(f"second fundamental form has shape {s.shape}, expected {expected}")
+        if self.flags.c_compatible and np.any(s[:, n:, :] != 0.0):
+            raise BadShape("c_compatible flag requires sigma(., xi_alpha) = 0 exactly")
 
     @property
     def n(self) -> int:
@@ -300,8 +313,8 @@ def attach_point(ambient: AmbientModel, functions: StructureFunctions,
     xi_2 exactly.
     """
     raw = _raw_vectors(raw_tangent, ambient.dim)
-    check_frames(raw[None], ambient.xi, tol)
-    return point_on_checked_frame(ambient, functions, raw, sff, flags or PointFlags(), tol)
+    tangent = Basis(tangent_frames(raw[None], ambient.xi, tol)[0], tol)
+    return SubmanifoldPoint(ambient, functions, tangent, sff, flags or PointFlags())
 
 
 def _raw_vectors(raw_tangent, dim: int) -> np.ndarray:
@@ -319,15 +332,24 @@ def _raw_vectors(raw_tangent, dim: int) -> np.ndarray:
     return raw
 
 
-def check_frames(frames: np.ndarray, xi: np.ndarray, tol: Tolerances) -> None:
-    """Every input check on a stack of raw frames, shape (frames, vectors,
-    dim): finiteness, count, rank and tangency of xi_1, xi_2.  The error
-    and its detail are those of the first frame that fails the first
-    failing check, so a stack of one checks a single frame.
+def tangent_frames(frames: np.ndarray, xi: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The tangent frames of a stack of raw frames, shape (frames, vectors,
+    dim): each one's orthonormalized L-part, input order kept, then xi_1,
+    xi_2, so the result has shape (frames, vectors, dim) too.
 
+    First every input check: finiteness, count, rank and tangency of xi_1,
+    xi_2.  The error and its detail are those of the first frame that fails
+    the first failing check, so a stack of one checks a single frame.
     ``|R_ii| / |v_i|`` of ``frame.T = QR`` is the distance of v_i from the
     span of the vectors before it, relative to its length: the pivot
     Gram-Schmidt compares with ``rank_pivot``.
+
+    Then the structure components are stripped and what is left of each
+    vector is orthonormalized against the kept rows before it, two modified
+    Gram-Schmidt passes run one row of every frame at a time.  A row of norm
+    at most ``tol.tangency`` (a pure xi combination, say) drops out; a frame
+    that does not keep all but two rows raises ``DependentInput``.  Each
+    frame gets the bits it gets alone.
     """
     count, dim = frames.shape[1:]
     if not np.all(np.isfinite(frames)):
@@ -356,46 +378,27 @@ def check_frames(frames: np.ndarray, xi: np.ndarray, tol: Tolerances) -> None:
             f"xi_{alpha + 1} is off the tangent span by {residuals[b, alpha]:.3e}"
         )
 
-
-def point_on_checked_frame(ambient: AmbientModel, functions: StructureFunctions,
-                           raw: np.ndarray, sff: SecondFundamentalForm,
-                           flags: PointFlags, tol: Tolerances) -> SubmanifoldPoint:
-    """The point of ``attach_point`` on raw vectors, the rows of ``raw``,
-    that ``check_frames`` has passed."""
-    # Strip structure components, then orthonormalize what is left of each
-    # input vector; vectors that were pure xi combinations drop out.
-    l_rows: list[Vec] = []
-    for v in raw:
-        w = v - ambient.xi.T @ (ambient.xi @ v)
-        if not w.any():
+    rows = frames - (frames @ xi.T) @ xi
+    kept = np.zeros(frames.shape[:2], dtype=bool)
+    for k in range(count):
+        w = rows[:, k]
+        if not w.any():  # in every frame a pure xi combination, which drops out
             continue
         for _ in range(2):
-            for u in l_rows:
-                w -= (w @ u) * u
-        norm = float(np.linalg.norm(w))
-        if norm > tol.tangency:
-            l_rows.append(w / norm)
-    if len(l_rows) != len(raw) - 2:
+            for j in range(k):
+                # only kept rows: subtracting a dropped one can flip a -0.0
+                u = rows[:, j]
+                np.subtract(w, np.vecdot(w, u)[:, None] * u, out=w, where=kept[:, j, None])
+        norm = np.sqrt(np.vecdot(w, w))
+        kept[:, k] = norm > tol.tangency
+        np.divide(w, norm[:, None], out=w, where=kept[:, k, None])
+    if np.any(kept.sum(axis=1) != count - 2):
         raise DependentInput(
             "tangent span does not split into an L-part plus the structure vectors"
         )
-
-    tangent = Basis(np.vstack(l_rows + [ambient.xi[0], ambient.xi[1]]), tol)
-    n = len(tangent) - 2
-
-    expected = (ambient.dim - len(tangent), n + 2, n + 2)
-    if sff.coeffs.shape != expected:
-        raise BadShape(
-            f"second fundamental form has shape {sff.coeffs.shape}, expected {expected}"
-        )
-    if flags.c_compatible and sff.coeffs.size:
-        xi_block = sff.coeffs[:, n:, :]
-        if np.any(xi_block != 0.0):
-            raise BadShape(
-                "c_compatible flag requires sigma(., xi_alpha) = 0 exactly"
-            )
-    return SubmanifoldPoint(ambient=ambient, functions=functions,
-                            tangent=tangent, sff=sff, flags=flags)
+    rows[:, :count - 2] = rows[kept].reshape(len(frames), count - 2, dim)
+    rows[:, count - 2:] = xi
+    return rows
 
 
 def induced_curvature(point: SubmanifoldPoint, x, y, z, w,

@@ -94,6 +94,19 @@ def test_report_corrupted_expectation_exits_1(tmp_path):
     assert proc.returncode == 1
 
 
+def test_report_expectation_keeps_booleans_and_numbers_apart(tmp_path):
+    # 1.0 == True in Python: a number must not match a boolean, nor a boolean a number
+    scenario = dict(SPOT_SCENARIO)
+    scenario["checks"] = [{"name": "delta_bound", "plane": [1, 2],
+                           "expect": {"equality": 1.0, "rhs": 4.0}},
+                          {"name": "classify", "expect": {"minimal": 0, "totally_geodesic": True}},
+                          {"name": "scalar_identity", "expect": {"tau": True}}]
+    code, out, err = run_main("report", write_scenario(tmp_path, scenario))
+    assert (code, err) == (1, "")
+    failures = [check["diagnostics"].get("expect_failures") for check in json.loads(out)["checks"]]
+    assert failures == [["equality"], ["minimal"], ["tau"]]
+
+
 def test_unknown_fields_rejected(tmp_path):
     scenario = dict(SPOT_SCENARIO)
     scenario["surprise"] = True
@@ -163,15 +176,18 @@ REPORT_GOLDEN = {
     "spot": "2be6288139fd6e341ca2ea0d80473151388a0771bbc42c0d9792cffadfe8a00e",
     "generated": "ca61131cf16da5429e06a856b21946b4e5b841c1fb3069aba18ad271f023a49c",
     "explicit": "19251874bc61a93bec3a420073fba6f54fa23e9931bc4a7bfeeb967989fc9218",
+    "mixed": "71eb505181d0f20e195d6e1f9c5a27d0147bf377587db72d7e6e70f780f77a0b",
 }
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
 def test_report_output_bytes_are_pinned(tmp_path, name):
-    # together the three run every check, Ricci variant, selector form,
-    # slant_mode, four_dim_slant and expect; all are n = 2
+    # together the first three run every check, Ricci variant, selector form,
+    # slant_mode, four_dim_slant and expect; all are n = 2.  "mixed" is an
+    # explicit n = 2 frame with a pure-xi row and a row that is xi_2 plus half
+    # another, which the tangency rule drops on a rounding residue
     scenario = {"spot": SPOT_SCENARIO, "generated": _GENERATED_SCENARIO,
-                "explicit": _EXPLICIT_SCENARIO}[name]
+                "explicit": _EXPLICIT_SCENARIO, "mixed": _MIXED_SCENARIO}[name]
     code, out, err = run_main("report", write_scenario(tmp_path, scenario))
     assert err == ""
     assert hashlib.sha256(f"{code}\n{out}".encode("utf-8")).hexdigest() == REPORT_GOLDEN[name]
@@ -994,6 +1010,17 @@ _EXPLICIT_SCENARIO = {
     "sigma": {"coeffs": [[1, 1, 1, 0.5], [2, 1, 2, -1.0]], "c_compatible": True},
     "checks": [{"name": "ricci_bound", "variant": "c_form", "u": 1},
                {"name": "delta_bound", "plane": [1, 2], "expect": {"equality": False}}],
+}
+_MIXED_SCENARIO = {
+    "ambient": {"m": 3},
+    "structure": {"values": [1.5, -0.7, 0.3, 0.2, 0.1, -0.4, 0.5]},
+    "frame": {"mode": "explicit", "vectors": [
+        [0, 0, 0, 0, 0, 0, 1, 0.5], [0.6, 0.8, 0, 0, 0, 0, 0.3, -0.1],
+        [0.3, 0.4, 0.0, 0.0, 0.0, 0.0, 0.15, 0.95], [0.1, 0.2, 0.7, 0.1, 0, 0, 0, 0.4],
+        [0, 0.3, -0.2, 0.9, 0.1, 0.05, 0, 0]]},
+    "sigma": {"constraint": "none", "seed": 3},
+    "checks": [{"name": "invariant_report"}, {"name": "scalar_identity"},
+               {"name": "ricci_bound"}, {"name": "delta_bound"}, {"name": "global_delta"}],
 }
 _KEYS = ("m", "c", "n", "u", "plane", "theta", "vectors", "values", "coeffs",
          "constraint", "seed", "scale", "c_compatible", "slant_mode", "expect",

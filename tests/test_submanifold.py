@@ -6,7 +6,7 @@ import pytest
 
 import gssf as G
 from gssf.scenario import assemble
-from gssf.submanifold import check_frames
+from gssf.submanifold import tangent_frames
 from _builders import (anti_invariant_point, invariant_point, normal_frame, project, random_unit_l,
                        sff_with, spot_point, tn_decompose)
 
@@ -118,20 +118,60 @@ def test_attach_point_span_checks_match_gram_schmidt(name):
                 G.attach_point(ambient, functions, raw, sff)
 
 
-@pytest.mark.parametrize("name", ["repeated", "near-dependent-long", "zero", "xi-off-1e-8"])
+# pivot 1e-10 passes the rank test (and gram_schmidt), but the second
+# vector's L-part beyond the first is 1e-10, below tangency: no split
+_SPLIT = [np.eye(8)[0], np.eye(8)[0] + 1e-10 * np.eye(8)[1], *_SPAN_AMBIENT.xi]
+
+
+@pytest.mark.parametrize("name", ["repeated", "near-dependent-long", "zero", "xi-off-1e-8",
+                                  "split"])
 def test_frame_stack_check_reports_a_bad_frame_as_it_does_alone(name):
-    # the stacked check of generated batches, on one bad frame between
+    # the stacked frames of generated batches, on one bad frame between
     # good ones of its shape: same error class, same detail
-    ambient, bad = _SPAN_AMBIENT, np.array(_SPAN_CASES[name])
+    ambient = _SPAN_AMBIENT
+    bad = np.array(_SPLIT if name == "split" else _SPAN_CASES[name])
     rng = np.random.default_rng(8)
     good = [np.vstack([rng.normal(size=(len(bad) - 2, ambient.dim)), ambient.xi])
             for _ in range(4)]
-    check_frames(np.stack(good), ambient.xi, G.DEFAULT)
+    tangent_frames(np.stack(good), ambient.xi, G.DEFAULT)
     with pytest.raises(G.GssfError) as alone:
-        check_frames(bad[None], ambient.xi, G.DEFAULT)
+        tangent_frames(bad[None], ambient.xi, G.DEFAULT)
     with pytest.raises(type(alone.value)) as stacked:
-        check_frames(np.stack(good[:2] + [bad] + good[2:]), ambient.xi, G.DEFAULT)
+        tangent_frames(np.stack(good[:2] + [bad] + good[2:]), ambient.xi, G.DEFAULT)
     assert str(stacked.value) == str(alone.value)
+    if name == "split":
+        assert str(alone.value).startswith("tangent span does not split")
+
+
+def _explicit_frames(rng, ambient, count, t):
+    """``count`` random raw frames of ``t`` vectors whose span holds xi_1, xi_2:
+    L-rows with xi parts, xi rows that may carry L parts, rows permuted, and
+    in half of them a first column of -0.0."""
+    frames = []
+    for _ in range(count):
+        l_rows = rng.normal(size=(t - 2, ambient.dim))
+        xi_rows = rng.normal(size=(2, 2)) @ ambient.xi
+        if rng.random() < 0.5:  # then the L part of an xi row drops out
+            xi_rows += rng.normal(size=(2, t - 2)) @ l_rows
+        frame = np.vstack([l_rows, xi_rows])[rng.permutation(t)]
+        if rng.random() < 0.5:
+            frame[:, 0] = -0.0
+        frames.append(frame)
+    return np.stack(frames)
+
+
+@pytest.mark.parametrize("m, t", [(1, 3), (2, 4), (3, 5), (4, 8), (5, 11)])
+def test_tangent_frames_of_a_stack_are_those_of_each_frame_alone(m, t):
+    # bit for bit, signs of zero included: rows one frame drops must not
+    # touch the rows of another
+    ambient = G.canonical_model(m)
+    frames = _explicit_frames(np.random.default_rng(m), ambient, 40, t)
+    stacked = tangent_frames(frames, ambient.xi, G.DEFAULT)
+    for frame, built in zip(frames, stacked):
+        alone = tangent_frames(frame[None], ambient.xi, G.DEFAULT)[0]
+        assert alone.tobytes() == built.tobytes()
+        G.Basis(alone)  # orthonormal
+        assert np.array_equal(alone[-2:], ambient.xi)
 
 
 @pytest.mark.parametrize("raw, error", [
@@ -157,6 +197,31 @@ def test_attach_c_compatible_requires_zero_xi_rows():
     with pytest.raises(G.BadShape):
         G.attach_point(ambient, functions, raw, sff,
                        G.PointFlags(c_compatible=True))
+
+
+@pytest.mark.parametrize("case, error", [
+    ("normal-rank", G.BadShape), ("tangent-size", G.BadShape), ("c_compatible", G.BadShape),
+    ("tangent-dimension", G.DimensionMismatch)])
+def test_point_checks_its_own_form_as_attach_point_does(case, error):
+    # built directly or through dataclasses.replace, a point takes only a
+    # frame of the ambient's dimension, a form of the frame's shape, and
+    # under c_compatible a form that vanishes on xi
+    point = spot_point()  # n = 2, m = 2: four tangent vectors, normal rank 2
+    ambient, functions = point.ambient, point.functions
+    tangent, sff, flags = {
+        "normal-rank": (point.tangent, G.SecondFundamentalForm.zeros(1, 4), G.PointFlags()),
+        "tangent-size": (G.Basis(np.eye(ambient.dim)[[0, 4, 5]]), point.sff, G.PointFlags()),
+        "c_compatible": (point.tangent, sff_with(2, 4, {(0, 0, 2): 1.0}),
+                         G.PointFlags(c_compatible=True)),
+        "tangent-dimension": (G.Basis(np.eye(8)[[0, 2, 6, 7]]), point.sff, G.PointFlags()),
+    }[case]
+    with pytest.raises(error) as attached:
+        G.attach_point(ambient, functions, tangent.matrix, sff, flags)
+    with pytest.raises(error) as direct:
+        G.SubmanifoldPoint(ambient, functions, tangent, sff, flags)
+    with pytest.raises(error) as replaced:
+        dataclasses.replace(point, tangent=tangent, sff=sff, flags=flags)
+    assert str(direct.value) == str(replaced.value) == str(attached.value)
 
 
 def test_sff_symmetry_enforced():
